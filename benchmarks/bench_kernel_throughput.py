@@ -9,11 +9,19 @@ are visible.
 import numpy as np
 import pytest
 
+from repro.engine import ExecutorSpec, build_executor
 from repro.formats import DeltaCSR
 from repro.kernels import baseline_kernel, merged_pool_kernel
 from repro.machine import ExecutionEngine, KNL
 from repro.matrices import named_matrix
+from repro.parallel import ParallelConfig
 from repro.pipeline import PipelineRunner
+
+
+def _parallel(matrix, nthreads, schedule):
+    """A bare parallel engine stack over the baseline CSR kernel."""
+    return build_executor(matrix, ExecutorSpec(
+        parallel=ParallelConfig(nthreads, schedule)))
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +67,7 @@ def test_engine_full_optimized_pipeline(benchmark, matrix):
 def test_parallel_matvec_throughput(benchmark, matrix, x, nthreads):
     """Real threaded SpMV on the shared-memory pool; the benchmark
     extra-info carries the measured per-thread CPU-time imbalance."""
-    from repro.parallel import ParallelSpMV
-
-    op = ParallelSpMV(matrix, nthreads=nthreads, schedule="balanced-nnz")
+    op = _parallel(matrix, nthreads, "balanced-nnz")
     out = np.empty(matrix.nrows)
     op.matvec(x, out=out)  # warm the pool and workspace arena
 
@@ -76,9 +82,7 @@ def test_parallel_matvec_throughput(benchmark, matrix, x, nthreads):
 @pytest.mark.parametrize("schedule",
                          ["static-rows", "balanced-nnz", "dynamic"])
 def test_parallel_schedule_policies(benchmark, matrix, x, schedule):
-    from repro.parallel import ParallelSpMV
-
-    op = ParallelSpMV(matrix, nthreads=4, schedule=schedule)
+    op = _parallel(matrix, 4, schedule)
     out = np.empty(matrix.nrows)
     op.matvec(x, out=out)
 

@@ -1,13 +1,16 @@
 #!/bin/sh
-# Full local gate: lint + tier-1 tests + perf smoke + parallel smoke +
-# fault suite + watchdog smoke + engine permutation smoke +
-# calibration smoke.
+# Full local gate: lint + tier-1 tests + benchmark self-tests + perf
+# smoke + parallel smoke + fault suite + watchdog smoke + engine
+# permutation smoke + calibration smoke.
 #
 # One command that runs everything CI checks, in the order that fails
 # fastest: the lint gate (scripts/lint.sh: ruff, or a byte-compile
 # fallback on minimal images), then the tier-1 pytest suite, then the
-# tests/perf smoke pass (benchmark-harness schema and the
-# zero-allocation steady-state asserts), then the measured-parallel
+# benchmark's own self-tests on tiny inputs (bench/test_bench.py: a
+# library change that deletes or renames a name bench/ imports fails
+# here, not in a later benchmark run), then the tests/perf smoke pass
+# (benchmark-harness schema and the zero-allocation steady-state
+# asserts), then the measured-parallel
 # smoke gate (real thread-pool execution at nthreads=2 asserting the
 # measured per-thread CPU-time imbalance sanity), then the full
 # fault-injection suite with *warnings promoted to errors* (a stray
@@ -26,25 +29,28 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "check: stage 1/8 lint"
+echo "check: stage 1/9 lint"
 sh scripts/lint.sh
 
-echo "check: stage 2/8 tier-1 tests"
+echo "check: stage 2/9 tier-1 tests"
 PYTHONPATH=src python -m pytest -x -q --ignore=tests/perf
 
-echo "check: stage 3/8 perf smoke"
+echo "check: stage 3/9 benchmark self-tests"
+PYTHONPATH=src python -m pytest -q bench/
+
+echo "check: stage 4/9 perf smoke"
 PYTHONPATH=src python -m pytest -x -q tests/perf
 
-echo "check: stage 4/8 measured-parallel smoke (nthreads=2)"
+echo "check: stage 5/9 measured-parallel smoke (nthreads=2)"
 PYTHONPATH=src python -m pytest -x -q -m perf_smoke tests/perf/test_parallel_smoke.py
 
-echo "check: stage 5/8 fault suite (warnings as errors)"
+echo "check: stage 6/9 fault suite (warnings as errors)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning tests/faults
 
-echo "check: stage 6/8 hang-injection watchdog smoke"
+echo "check: stage 7/9 hang-injection watchdog smoke"
 PYTHONPATH=src python -m pytest -x -q -k watchdog tests/faults/test_parallel_faults.py
 
-echo "check: stage 7/8 engine permutation smoke (guard+supervision, 2 threads)"
+echo "check: stage 8/9 engine permutation smoke (guard+supervision, 2 threads)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning \
     -k permutation_smoke_guard_supervision_two_threads \
     tests/engine/test_permutations.py
@@ -52,7 +58,7 @@ PYTHONPATH=src python -m repro.cli plan smallfem --explain \
     | grep -q "engine-spec round-trip: ok" \
     || { echo "check: engine-spec round-trip FAILED" >&2; exit 1; }
 
-echo "check: stage 8/8 calibration smoke (quick profile + calibrated plan)"
+echo "check: stage 9/9 calibration smoke (quick profile + calibrated plan)"
 calib_tmp="$(mktemp -d)"
 trap 'rm -rf "$calib_tmp"' EXIT
 PYTHONPATH=src python -m repro.cli calibrate --quick \

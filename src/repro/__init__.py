@@ -89,19 +89,13 @@ from .parallel import (
     ParallelConfig,
     ParallelKernel,
     ParallelMeasurement,
-    ParallelSpMV,
 )
 from .pipeline import PipelineContext, PipelineRunner, Tracer
 from .engine import (
     Executor,
     ExecutorSpec,
-    GuardLayer,
-    ParallelLayer,
     SupervisedExecutor,
-    SupervisionLayer,
     SupervisionSpec,
-    TraceLayer,
-    WorkspaceLayer,
     build_executor,
 )
 from .solvers import SolverReport, bicgstab, cg, gmres, jacobi_preconditioner
@@ -166,7 +160,6 @@ __all__ = [
     "ParallelConfig",
     "ParallelKernel",
     "ParallelMeasurement",
-    "ParallelSpMV",
     # pipeline
     "Tracer",
     "PipelineContext",
@@ -176,11 +169,6 @@ __all__ = [
     "ExecutorSpec",
     "SupervisionSpec",
     "build_executor",
-    "GuardLayer",
-    "ParallelLayer",
-    "SupervisionLayer",
-    "WorkspaceLayer",
-    "TraceLayer",
     "SupervisedExecutor",
     # baselines
     "mkl_csr_kernel",

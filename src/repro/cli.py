@@ -628,9 +628,9 @@ def _cmd_parallel(args) -> int:
     csr = _load_matrix(args.matrix, args.scale)
     kernel = baseline_kernel()
     if args.guard or (spec is not None and spec.guard):
-        from .engine import GuardLayer
+        from .engine import guard_kernel
 
-        kernel = GuardLayer().wrap(kernel)
+        kernel = guard_kernel(kernel)
     if args.deadline_ms is None:
         deadline_seconds = None
     elif args.deadline_ms == "auto":

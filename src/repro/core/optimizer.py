@@ -487,9 +487,6 @@ class OptimizedSpMV:
     #: entry that produced this operator, so repeat service keeps its
     #: warm buffers.
     workspace: Workspace = field(default_factory=Workspace, repr=False)
-    #: the optimizer's :class:`~repro.parallel.ParallelConfig` (None
-    #: for serial planning); consumed by :meth:`parallel_operator`.
-    parallel_config: object | None = field(default=None, repr=False)
     #: the :class:`~repro.model.base.CostModel` predictions run through
     #: (None falls back to a fresh analytic model on first use).
     model: object | None = field(default=None, repr=False)
@@ -527,7 +524,7 @@ class OptimizedSpMV:
         workspace arena; pass ``spec=`` to compose a different stack
         over the same planned kernel and data.
         """
-        from ..engine.layers import build_executor
+        from ..engine import build_executor
 
         if spec is None:
             spec = self.plan.executor_spec
@@ -562,37 +559,6 @@ class OptimizedSpMV:
         if x.ndim == 2:
             return self.matmat(x)
         return self.matvec(x)
-
-    def parallel_operator(self, nthreads: int | None = None,
-                          schedule: str | None = None,
-                          chunk_rows: int | None = None):
-        """Lift this operator onto the real parallel execution plane.
-
-        Returns a :class:`~repro.parallel.ParallelSpMV` that runs the
-        *planned* kernel on a thread pool. Defaults come from the
-        optimizer's :class:`~repro.parallel.ParallelConfig` when one was
-        supplied (``AdaptiveSpMV(..., parallel=...)`` — also recorded
-        on ``plan.executor_spec.parallel``); otherwise ``nthreads``
-        must be given.
-        """
-        from ..parallel import ParallelSpMV
-
-        cfg = self.parallel_config
-        if cfg is None:
-            cfg = self.plan.executor_spec.parallel
-        if nthreads is None:
-            if cfg is None:
-                raise ValueError(
-                    "nthreads is required when the plan has no "
-                    "parallel config"
-                )
-            nthreads = cfg.nthreads
-        if schedule is None:
-            schedule = cfg.schedule if cfg is not None else "balanced-nnz"
-        if chunk_rows is None and cfg is not None:
-            chunk_rows = cfg.chunk_rows
-        return ParallelSpMV(self.csr, self.kernel, nthreads=nthreads,
-                            schedule=schedule, chunk_rows=chunk_rows)
 
     def simulate(self, nthreads: int | None = None) -> RunResult:
         """Predicted execution on the target machine, through the
@@ -631,8 +597,8 @@ class AdaptiveSpMV:
         optimizers or warm-start across processes, or ``False`` to
         disable caching.
     guard
-        When true, the selected kernel is wrapped by the engine's
-        :class:`~repro.engine.GuardLayer`: runtime faults quarantine
+        When true, the selected kernel is wrapped in the engine's
+        :class:`~repro.engine.GuardedKernel`: runtime faults quarantine
         the variant and fall back to the reference CSR numeric plane
         instead of escaping. Independently of ``guard``, the optimizer
         never *plans* an already-quarantined variant (it substitutes
@@ -713,9 +679,6 @@ class AdaptiveSpMV:
         #: workspace axes partition the plan-cache keys.
         self.spec = spec
         self.guard = spec.guard
-        #: optional :class:`~repro.parallel.ParallelConfig`; folded into
-        #: cache keys and attached to optimized operators.
-        self.parallel = spec.parallel
         self.stages = (
             tuple(stages) if stages is not None
             else default_planning_stages()
@@ -829,15 +792,13 @@ class AdaptiveSpMV:
             entry = None
             invalidated = True
         if entry is not None and self.guard:
-            from ..engine.layers import GuardLayer
+            from ..engine import guard_kernel
 
-            layer = GuardLayer()
-            if not layer.is_guarded(entry.kernel):
+            guarded = guard_kernel(entry.kernel)
+            if guarded is not entry.kernel:
                 # Revived/shared entry planned without the guard: wrap
                 # it and drop its data (typed for the unwrapped kernel).
-                entry = _CacheEntry(
-                    entry.plan, layer.wrap(entry.kernel), None, None
-                )
+                entry = _CacheEntry(entry.plan, guarded, None, None)
                 self.plan_cache.store(key, entry)
         if tracer is not None:
             tracer.record(
@@ -900,7 +861,6 @@ class AdaptiveSpMV:
                     csr=csr, kernel=kernel, data=entry.data,
                     machine=self.machine, plan=plan,
                     workspace=entry.arena(),
-                    parallel_config=self.parallel,
                     model=self.model,
                 )
             # Same structure, new values: the decision is free but the
@@ -917,7 +877,6 @@ class AdaptiveSpMV:
                 csr=csr, kernel=kernel, data=data,
                 machine=self.machine, plan=plan,
                 workspace=entry.arena(),
-                parallel_config=self.parallel,
                 model=self.model,
             )
         ctx = self._run_stages(csr, materialize=True, tracer=own_tracer)
@@ -932,6 +891,5 @@ class AdaptiveSpMV:
             machine=self.machine,
             plan=plan,
             workspace=entry.arena(),
-            parallel_config=self.parallel,
             model=self.model,
         )

@@ -1,10 +1,13 @@
 """repro.engine — the composable middleware execution engine.
 
 One execution surface (:class:`Executor`: ``apply``/``apply_multi``
-with the zero-allocation ``out=``/``workspace=`` contract), five
-middleware layers (guard, parallel, supervision, workspace, trace) and
-a declarative, schema-versioned :class:`ExecutorSpec` that
-:func:`build_executor` assembles into a stack. Specs serialize into
+with the zero-allocation ``out=``/``workspace=`` contract), one
+executor class per execution mode (:class:`KernelExecutor`,
+:class:`ParallelExecutor`, :class:`SupervisedExecutor`,
+:class:`WorkspaceExecutor`, :class:`TraceExecutor`, plus
+:class:`GuardedKernel` at kernel level) and a declarative,
+schema-versioned :class:`ExecutorSpec` that :func:`build_executor` —
+the only stack assembler — turns into a stack. Specs serialize into
 the :class:`~repro.core.optimizer.OptimizationPlan` IR, so a
 warm-started plan rebuilds the exact same stack in a fresh process::
 
@@ -22,18 +25,16 @@ See docs/architecture.md ("The execution engine") for the layer-stack
 diagram and the composition rules.
 """
 
-from .executor import Executor, ExecutorBase, KernelExecutor, ParallelExecutor
-from .guard import GuardedData, GuardedKernel
-from .layers import (
-    GuardLayer,
-    ParallelLayer,
-    SupervisionLayer,
+from .executor import (
+    Executor,
+    ExecutorBase,
+    KernelExecutor,
+    ParallelExecutor,
     TraceExecutor,
-    TraceLayer,
     WorkspaceExecutor,
-    WorkspaceLayer,
     build_executor,
 )
+from .guard import GuardedData, GuardedKernel, guard_kernel
 from .spec import (
     ENGINE_SPEC_SCHEMA_VERSION,
     WORKSPACE_MODES,
@@ -58,24 +59,20 @@ __all__ = [
     "Executor",
     "ExecutorBase",
     "ExecutorSpec",
-    "GuardLayer",
     "GuardedData",
     "GuardedKernel",
     "KernelExecutor",
     "ParallelExecutor",
-    "ParallelLayer",
     "SupervisedExecutor",
-    "SupervisionLayer",
     "SupervisionReport",
     "SupervisionSpec",
     "TraceExecutor",
-    "TraceLayer",
     "WorkspaceExecutor",
-    "WorkspaceLayer",
     "build_executor",
     "clear_demotions",
     "demoted_target",
     "demotion_count",
     "demotion_log",
+    "guard_kernel",
     "record_demotion",
 ]

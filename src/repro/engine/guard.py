@@ -1,10 +1,9 @@
 """Guard middleware: catch kernel faults, quarantine, fall back.
 
-This module is the engine-side home of the guarded execution layer
-(historically ``repro.guard.guarded``, which now re-exports from here).
-:class:`GuardedKernel` wraps any :class:`~repro.kernels.base.Kernel`
-and turns three classes of runtime misbehavior into a recorded failure
-plus a transparent fallback to the reference CSR kernel:
+This module is the engine's guard layer. :class:`GuardedKernel` wraps
+any :class:`~repro.kernels.base.Kernel` and turns three classes of
+runtime misbehavior into a recorded failure plus a transparent
+fallback to the reference CSR kernel:
 
 * the variant **raises** during ``preprocess`` / ``apply`` /
   ``apply_multi``;
@@ -42,7 +41,7 @@ from ..kernels.registry import is_quarantined, record_kernel_failure
 from ..machine import KernelCost, MachineSpec
 from ..sched import Partition, make_partition
 
-__all__ = ["GuardedData", "GuardedKernel"]
+__all__ = ["GuardedData", "GuardedKernel", "guard_kernel"]
 
 
 def _accepts_out(method) -> bool:
@@ -84,7 +83,8 @@ class GuardedKernel(Kernel):
     The wrapper is name-transparent (``name`` / ``optimizations`` /
     ``schedule`` delegate to the wrapped variant) so plans, caches and
     reports see the variant they selected; only the failure behavior
-    changes.
+    changes. Engine stack descriptions still name it
+    (``guard -> kernel[csr]``).
     """
 
     def __init__(self, inner: Kernel, workspace=None):
@@ -204,10 +204,12 @@ class GuardedKernel(Kernel):
                 f"apply returned shape {got}, expected {expected}"
             )
             return None
+        # Scan the output first: the operand is only scanned when the
+        # output is already non-finite, which is the rare case.
         if (
             data.values_finite
-            and bool(np.isfinite(x).all())
             and not bool(np.isfinite(result).all())
+            and bool(np.isfinite(x).all())
         ):
             self._record(
                 "apply produced non-finite output from finite input"
@@ -233,3 +235,12 @@ class GuardedKernel(Kernel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<GuardedKernel {self.inner!r}>"
+
+
+def guard_kernel(kernel: Kernel) -> GuardedKernel:
+    """Wrap ``kernel`` in the guard. An already guarded kernel comes
+    back as the same object, so callers can tell by identity whether
+    data preprocessed for ``kernel`` still fits."""
+    if isinstance(kernel, GuardedKernel):
+        return kernel
+    return GuardedKernel(kernel)

@@ -1,7 +1,7 @@
 """Declarative, schema-versioned execution-stack specification.
 
 An :class:`ExecutorSpec` describes one composed execution stack — which
-middleware layers (:mod:`repro.engine.layers`) wrap the planned kernel
+middleware layers (:mod:`repro.engine.executor`) wrap the planned kernel
 and with what configuration — as plain data:
 
 * ``guard`` — wrap the kernel in the guard layer (fault quarantine +
@@ -56,8 +56,8 @@ class SupervisionSpec:
     """Configuration of the supervision layer's degradation ladder.
 
     Field defaults match :class:`~repro.engine.supervision.
-    SupervisedExecutor` exactly, so ``SupervisionSpec()`` reproduces the
-    historical ``SupervisedSpMV`` behavior bit-for-bit.
+    SupervisedExecutor` exactly, so ``SupervisionSpec()`` reproduces a
+    default-constructed ``SupervisedExecutor`` bit-for-bit.
     """
 
     deadline_seconds: float | None = None

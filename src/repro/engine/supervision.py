@@ -1,8 +1,7 @@
 """Supervision middleware: deadline-aware fault-tolerant execution.
 
-This module is the engine-side home of the supervised parallel plane
-(historically ``repro.parallel.supervisor``, which now re-exports from
-here). :class:`SupervisedExecutor` wraps the parallel execution plane
+This module is the engine's supervision layer.
+:class:`SupervisedExecutor` wraps the parallel execution plane
 (:class:`~repro.parallel.plane.ParallelKernel`) with the degradation
 ladder a serving system needs when a worker crashes, hangs past its
 deadline, or poisons its partition:
@@ -31,7 +30,7 @@ Each apply optionally records a ``supervise`` Tracer span carrying the
 full :class:`SupervisionReport` (see docs/observability.md).
 
 Deadline semantics: ``deadline_seconds`` is a *total* budget for one
-``matvec``/``matmat`` call across every parallel rung. Each rung's
+``apply``/``apply_multi`` call across every parallel rung. Each rung's
 watchdog gets the remaining budget; a rung that breaches it has its
 thread pool recycled (:func:`~repro.parallel.pool.recycle_executor` —
 the abandoned hung workers must not leak into the next apply) and the
@@ -51,6 +50,7 @@ import numpy as np
 from ..errors import ParallelExecutionError
 from ..formats import CSRMatrix
 from ..kernels.base import Kernel
+from .executor import ExecutorBase, kernel_label
 
 __all__ = [
     "AttemptRecord",
@@ -196,14 +196,14 @@ class SupervisionReport:
 
 # -- supervised executor ------------------------------------------------
 
-class SupervisedExecutor:
+class SupervisedExecutor(ExecutorBase):
     """Fault-tolerant executor over the parallel plane.
 
-    Exposes the engine's ``apply``/``apply_multi`` protocol (plus the
-    historical ``matvec``/``matmat`` aliases), but a worker crash,
-    hang, or poisoned partition never escapes as a partial result: the
-    call walks the degradation ladder (retry at reduced width, then the
-    serial zero-alloc CSR fallback) and returns a bit-identical result,
+    Exposes the engine's ``apply``/``apply_multi`` protocol, but a
+    worker crash, hang, or poisoned partition never escapes as a
+    partial result: the call walks the degradation ladder (retry at
+    reduced width, then the serial zero-alloc CSR fallback) and
+    returns a bit-identical result,
     or — only when even serial execution is impossible — raises the
     last :class:`~repro.errors.ParallelExecutionError`.
 
@@ -248,10 +248,6 @@ class SupervisedExecutor:
         self._rung(self.nthreads)
 
     # -- rung management ------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
 
     @property
     def signature(self) -> str:
@@ -312,12 +308,14 @@ class SupervisedExecutor:
         Returns ``[]`` when the output is clean *or* when non-finite
         values are legitimate (matrix or operand already non-finite).
         """
-        if not self._values_finite or not np.isfinite(x).all():
+        if not self._values_finite:
             return []
         finite_rows = (
             np.isfinite(y) if y.ndim == 1 else np.isfinite(y).all(axis=1)
         )
-        if finite_rows.all():
+        # The output is scanned first; the operand only when the output
+        # is already non-finite, which is the rare case.
+        if finite_rows.all() or not np.isfinite(x).all():
             return []
         from ..errors import ChunkFailure
 
@@ -347,21 +345,10 @@ class SupervisedExecutor:
                     workspace=None) -> np.ndarray:
         return self._apply(X, out, workspace, multi=True)
 
-    # Historical operator-facade surface (SupervisedSpMV).
-    matvec = apply
-    matmat = apply_multi
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.apply_multi(x)
-        return self.apply(x)
-
     def describe(self) -> str:
-        """Human-readable stack composition, innermost last."""
         return (
-            f"supervised[t{self.nthreads}/{self.schedule}"
-            f",retries={self.max_retries}] -> kernel[{self.inner.name}]"
+            f"supervision[t{self.nthreads}/{self.schedule}"
+            f",retries={self.max_retries}] -> {kernel_label(self.inner)}"
         )
 
     def _serial(self, x: np.ndarray, out, workspace, *,

@@ -60,7 +60,7 @@ class ChunkFailure:
     """Attribution record of one failed, hung or poisoned parallel
     chunk: which contiguous row range, on which worker slot, and how it
     failed. Carried by :class:`ParallelExecutionError` and by the
-    supervision reports of :mod:`repro.parallel.supervisor`."""
+    supervision reports of :mod:`repro.engine.supervision`."""
 
     #: index of the chunk in its :class:`~repro.parallel.plane.
     #: ParallelData` (``-1`` when a worker timed out between chunks).

@@ -11,8 +11,8 @@ NaN/Inf-poisoned values and misbehaving kernel variants:
   corruption of structures, value poisoning and MatrixMarket stream
   truncation, used by ``tests/faults/`` to prove every layer fails
   loudly or degrades cleanly;
-* **guarded kernels** (:mod:`repro.guard.guarded`) — kernel wrappers
-  that quarantine faulting variants (per-variant failure counters in
+* **guarded kernels** (:class:`~repro.engine.guard.GuardedKernel`,
+  re-exported here) — kernel wrappers that quarantine faulting variants (per-variant failure counters in
   :mod:`repro.kernels.registry`) and fall back to the reference CSR
   kernel bit-identically.
 
@@ -51,7 +51,7 @@ from .faults import (
     inject_structural_fault,
     inject_value_fault,
 )
-from .guarded import GuardedData, GuardedKernel
+from ..engine.guard import GuardedData, GuardedKernel
 
 __all__ = [
     # error taxonomy

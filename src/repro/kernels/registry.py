@@ -145,7 +145,7 @@ def pairwise_optimization_kernels() -> dict[str, ConfiguredSpMV]:
 
 # -- kernel quarantine (per-variant failure accounting) ----------------
 #
-# The guarded execution layer (repro.guard.guarded) records every
+# The guarded execution layer (repro.engine.guard) records every
 # runtime fault of a kernel variant here, keyed by the variant's
 # ``name``. Once a variant accumulates QUARANTINE_THRESHOLD failures it
 # is *quarantined*: guarded wrappers stop calling it (falling back to

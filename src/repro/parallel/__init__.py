@@ -7,10 +7,11 @@ release the GIL), making the paper's IMB thread-imbalance analysis
 per-thread times, :class:`ParallelKernel` measures them. See
 docs/parallelism.md.
 
-:mod:`repro.parallel.supervisor` adds the serving-grade fault
-tolerance on top: worker supervision with chunk attribution, deadline
-watchdogs, and the retry/degrade/serial-fallback ladder of
-:class:`SupervisedSpMV`. See docs/robustness.md.
+Stacks over this plane are assembled by
+:func:`repro.engine.build_executor`; the serving-grade fault tolerance
+(deadline watchdogs and the retry/degrade/serial-fallback ladder of
+:class:`repro.engine.SupervisedExecutor`) lives in the engine too. See
+docs/robustness.md.
 """
 
 from .plane import (
@@ -18,7 +19,6 @@ from .plane import (
     ParallelData,
     ParallelKernel,
     ParallelMeasurement,
-    ParallelSpMV,
 )
 from .pool import (
     active_worker_counts,
@@ -27,34 +27,15 @@ from .pool import (
     recycle_executor,
     shutdown_executors,
 )
-from .supervisor import (
-    AttemptRecord,
-    SupervisedSpMV,
-    SupervisionReport,
-    clear_demotions,
-    demoted_target,
-    demotion_count,
-    demotion_log,
-    record_demotion,
-)
 
 __all__ = [
     "ParallelConfig",
     "ParallelData",
     "ParallelKernel",
     "ParallelMeasurement",
-    "ParallelSpMV",
-    "SupervisedSpMV",
-    "SupervisionReport",
-    "AttemptRecord",
     "get_executor",
     "shutdown_executors",
     "active_worker_counts",
     "recycle_executor",
     "pool_health",
-    "record_demotion",
-    "demoted_target",
-    "demotion_count",
-    "demotion_log",
-    "clear_demotions",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "ParallelMeasurement",
     "ParallelData",
     "ParallelKernel",
-    "ParallelSpMV",
 ]
 
 
@@ -561,70 +560,3 @@ class ParallelKernel(Kernel):
             f"{self.inner!r}>"
         )
 
-
-class ParallelSpMV:
-    """Operator facade over :class:`ParallelKernel` for solver loops.
-
-    Exposes the same ``matvec(x, out=, workspace=)`` /
-    ``matmat(X, out=, workspace=)`` surface as the sparse formats, so
-    :func:`repro.solvers.base.as_matvec_into` routes CG/GMRES hot-loop
-    matvecs through the thread pool with zero solver changes — and
-    bit-identical residual histories, because chunked execution
-    preserves the serial reduction order.
-    """
-
-    def __init__(self, csr: CSRMatrix, kernel: Kernel | None = None, *,
-                 nthreads: int, schedule: str = "balanced-nnz",
-                 chunk_rows: int | None = None, guard: bool = False):
-        if kernel is None:
-            from ..kernels.variants import baseline_kernel
-
-            kernel = baseline_kernel()
-        if guard:
-            from ..engine.layers import GuardLayer
-
-            kernel = GuardLayer().wrap(kernel)
-        self.csr = csr
-        self.kernel = ParallelKernel(kernel, nthreads=nthreads,
-                                     schedule=schedule,
-                                     chunk_rows=chunk_rows)
-        self.data = self.kernel.preprocess(csr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nthreads(self) -> int:
-        return self.data.nthreads
-
-    @property
-    def partition(self) -> Partition:
-        return self.data.partition
-
-    @property
-    def last_measurement(self) -> ParallelMeasurement | None:
-        return self.kernel.last_measurement
-
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-               workspace=None,
-               deadline_seconds: float | None = None) -> np.ndarray:
-        return self.kernel.apply(self.data, x, out=out,
-                                 workspace=workspace,
-                                 deadline_seconds=deadline_seconds)
-
-    def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
-               workspace=None,
-               deadline_seconds: float | None = None) -> np.ndarray:
-        return self.kernel.apply_multi(self.data, X, out=out,
-                                       workspace=workspace,
-                                       deadline_seconds=deadline_seconds)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.matmat(x)
-        return self.matvec(x)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ParallelSpMV {self.kernel!r} {self.csr!r}>"

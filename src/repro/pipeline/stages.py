@@ -120,9 +120,9 @@ class SelectStage:
             quarantined = (kernel.name,)
             kernel = baseline_kernel()
         if ctx.guard:
-            from ..engine.layers import GuardLayer
+            from ..engine import guard_kernel
 
-            kernel = GuardLayer().wrap(kernel)
+            kernel = guard_kernel(kernel)
         ctx.kernel = kernel
         ctx.quarantined = quarantined
         span.set(

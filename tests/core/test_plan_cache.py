@@ -253,27 +253,31 @@ def test_nthreads_partitions_cache(small_random_csr):
     assert b.optimize(small_random_csr).plan.cache_hit
 
 
-def test_parallel_operator_from_optimized(small_random_csr, x300):
+def test_parallel_executor_from_optimized(small_random_csr, x300):
     """An optimizer built with a parallel config hands out operators
-    whose ``parallel_operator()`` runs on the configured pool,
+    whose default ``executor()`` runs on the configured pool,
     bit-identical to the planned serial numeric plane."""
     from repro.parallel import ParallelConfig
 
     opt = AdaptiveSpMV(KNL, classifier="profile",
                        parallel=ParallelConfig(4, "balanced-nnz"))
     op = opt.optimize(small_random_csr)
-    par = op.parallel_operator()
+    par = op.executor()
     np.testing.assert_array_equal(
         par.matvec(x300), small_random_csr.matvec(x300)
     )
     assert par.nthreads <= 4
 
 
-def test_parallel_operator_requires_config(small_random_csr):
+def test_parallel_executor_needs_parallel_spec(small_random_csr):
+    from repro.engine import ExecutorSpec
+    from repro.parallel import ParallelConfig
+
     opt = AdaptiveSpMV(KNL, classifier="profile")
     op = opt.optimize(small_random_csr)
-    with pytest.raises(ValueError):
-        op.parallel_operator()
-    # explicit nthreads works without a stored config
-    par = op.parallel_operator(nthreads=2)
+    # a serial plan builds a serial stack: no thread count to report
+    with pytest.raises(AttributeError):
+        op.executor().nthreads
+    # an explicit parallel spec works without one on the plan
+    par = op.executor(ExecutorSpec(parallel=ParallelConfig(2)))
     assert par.nthreads <= 2

@@ -72,6 +72,11 @@ def test_stack_bit_identical_to_serial_csr(small_random_csr, x300, guard,
     assert ExecutorSpec.from_dict(spec.to_dict()) == spec
     assert spec.cache_signature() in spec.signature()
 
+    # describe() names every layer the spec composes
+    stack = op.describe()
+    for layer in spec.layer_names():
+        assert layer in stack, (layer, stack)
+
 
 @pytest.mark.parametrize(
     "guard,nthreads,supervised,workspace",
@@ -123,7 +128,7 @@ def test_trace_spans_nest_correctly(small_random_csr, x300, supervised):
         (inner,) = inner_spans
         assert names.index("supervise") < names.index("engine.apply")
         assert outer.wall_seconds >= inner.wall_seconds
-        assert "supervised[t2" in outer.attributes["stack"]
+        assert "supervision[t2" in outer.attributes["stack"]
     else:
         assert inner_spans == []
 
@@ -133,7 +138,7 @@ def test_trace_spans_nest_correctly(small_random_csr, x300, supervised):
 
 
 def test_permutation_smoke_guard_supervision_two_threads():
-    """check.sh stage-7 smoke: a permutation matrix through the full
+    """check.sh stage-8 smoke: a permutation matrix through the full
     guard + supervision + workspace + trace stack on 2 threads must
     reproduce the permutation exactly and emit zero warnings (the
     stage runs with warnings-as-errors)."""

@@ -15,18 +15,21 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ChunkFailure, ParallelExecutionError
-from repro.guard import ParallelFaultKernel
-from repro.kernels import baseline_kernel
-from repro.parallel import (
-    ParallelSpMV,
-    SupervisedSpMV,
+from repro.engine import (
+    ExecutorSpec,
+    SupervisedExecutor,
+    SupervisionSpec,
+    build_executor,
     clear_demotions,
     demoted_target,
     demotion_count,
     demotion_log,
     record_demotion,
 )
+from repro.errors import ChunkFailure, ParallelExecutionError
+from repro.guard import ParallelFaultKernel, kernel_failure_count
+from repro.kernels import baseline_kernel
+from repro.parallel import ParallelConfig
 
 
 @pytest.fixture(autouse=True)
@@ -51,7 +54,8 @@ def test_worker_crash_raises_typed_error_with_chunk_attribution(
         small_random_csr, x):
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=1)
-    op = ParallelSpMV(small_random_csr, fk, nthreads=4)
+    op = build_executor(small_random_csr, ExecutorSpec(
+        parallel=ParallelConfig(nthreads=4)), kernel=fk)
     with pytest.raises(ParallelExecutionError) as exc_info:
         op.matvec(x)
     err = exc_info.value
@@ -69,7 +73,8 @@ def test_worker_crash_raises_typed_error_with_chunk_attribution(
 def test_crash_never_returns_partially_written_out(small_random_csr, x):
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=1)
-    op = ParallelSpMV(small_random_csr, fk, nthreads=4)
+    op = build_executor(small_random_csr, ExecutorSpec(
+        parallel=ParallelConfig(nthreads=4)), kernel=fk)
     out = np.full(small_random_csr.nrows, 7.0)
     with pytest.raises(ParallelExecutionError):
         op.matvec(x, out=out)
@@ -81,11 +86,12 @@ def test_plane_deadline_watchdog_times_out_hung_chunk(small_random_csr,
                                                       x):
     fk = ParallelFaultKernel(baseline_kernel(), mode="hang",
                              fail_applies=1, hang_seconds=0.5)
-    op = ParallelSpMV(small_random_csr, fk, nthreads=2)
+    op = build_executor(small_random_csr, ExecutorSpec(
+        parallel=ParallelConfig(nthreads=2)), kernel=fk)
     out = np.full(small_random_csr.nrows, 7.0)
     t0 = time.perf_counter()
     with pytest.raises(ParallelExecutionError) as exc_info:
-        op.matvec(x, out=out, deadline_seconds=0.05)
+        op.apply(x, out=out, deadline_seconds=0.05)
     elapsed = time.perf_counter() - t0
     err = exc_info.value
     assert err.kind == "deadline"
@@ -95,6 +101,25 @@ def test_plane_deadline_watchdog_times_out_hung_chunk(small_random_csr,
     assert elapsed < 0.5
 
 
+def test_nan_operand_is_propagation_not_a_fault(small_random_csr, x):
+    """The guard and supervision scan the output before the operand; a
+    NaN in ``x`` reaches that last operand check and must clear the
+    kernel: no failure, no demotion, no ladder move."""
+    x = x.copy()
+    x[small_random_csr.colind[0]] = np.nan
+    kernel = baseline_kernel()
+    demotions = demotion_count()
+    op = build_executor(small_random_csr, ExecutorSpec(
+        guard=True, parallel=ParallelConfig(2),
+        supervision=SupervisionSpec()), kernel=kernel)
+    y = op.apply(x)
+    assert not np.isfinite(y).all()  # the operand branch was reached
+    assert kernel_failure_count(kernel.name) == 0
+    assert demotion_count() == demotions
+    assert not op.last_report.degraded
+    assert np.array_equal(y, small_random_csr.matvec(x), equal_nan=True)
+
+
 # -- supervised ladder: bit-identical recovery on every rung ------------
 
 
@@ -102,8 +127,8 @@ def test_crash_retry_recovers_bit_identical(small_random_csr, x):
     ref = small_random_csr.matvec(x)
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=1)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             backoff_seconds=0.0)
     y = sup.matvec(x)
     np.testing.assert_array_equal(y, ref)
     report = sup.last_report
@@ -122,8 +147,8 @@ def test_every_ladder_rung_stays_bit_identical(small_random_csr, x,
     ref = small_random_csr.matvec(x)
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=fail_applies)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         max_retries=2, backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             max_retries=2, backoff_seconds=0.0)
     y = sup.matvec(x)
     np.testing.assert_array_equal(y, ref)
     assert sup.last_report.degraded
@@ -134,8 +159,8 @@ def test_persistent_crash_walks_full_ladder_to_serial(small_random_csr,
     ref = small_random_csr.matvec(x)
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=math.inf)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         max_retries=2, backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             max_retries=2, backoff_seconds=0.0)
     y = sup.matvec(x)
     np.testing.assert_array_equal(y, ref)
     report = sup.last_report
@@ -152,8 +177,8 @@ def test_persistent_crash_walks_full_ladder_to_serial(small_random_csr,
 def test_demoted_config_skips_straight_to_recorded_width(
         small_random_csr, x):
     ref = small_random_csr.matvec(x)
-    sup = SupervisedSpMV(small_random_csr, nthreads=4,
-                         backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, nthreads=4,
+                             backoff_seconds=0.0)
     record_demotion(sup.signature, 2, "worker-fault")
     y = sup.matvec(x)
     np.testing.assert_array_equal(y, ref)
@@ -167,8 +192,8 @@ def test_poisoned_partition_detected_and_recovered(small_random_csr, x):
     ref = small_random_csr.matvec(x)
     fk = ParallelFaultKernel(baseline_kernel(), mode="poison",
                              fail_applies=1)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             backoff_seconds=0.0)
     out = np.empty(small_random_csr.nrows)
     y = sup.matvec(x, out=out)
     assert y is out
@@ -185,8 +210,8 @@ def test_hang_watchdog_recovers_within_deadline_budget(small_random_csr,
     ref = small_random_csr.matvec(x)
     fk = ParallelFaultKernel(baseline_kernel(), mode="hang",
                              fail_applies=1, hang_seconds=0.5)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         deadline_seconds=0.1, backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             deadline_seconds=0.1, backoff_seconds=0.0)
     t0 = time.perf_counter()
     y = sup.matvec(x)
     elapsed = time.perf_counter() - t0
@@ -201,9 +226,9 @@ def test_crash_escapes_typed_when_serial_fallback_disabled(
         small_random_csr, x):
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=math.inf)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=2,
-                         max_retries=0, backoff_seconds=0.0,
-                         serial_fallback=False)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=2,
+                             max_retries=0, backoff_seconds=0.0,
+                             serial_fallback=False)
     out = np.zeros(small_random_csr.nrows)
     with pytest.raises(ParallelExecutionError) as exc_info:
         sup.matvec(x, out=out)
@@ -218,8 +243,8 @@ def test_supervised_matmat_recovers_bit_identical(small_random_csr):
     ref = small_random_csr.matmat(X)
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=1)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         backoff_seconds=0.0)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             backoff_seconds=0.0)
     Y = sup.matmat(X)
     np.testing.assert_array_equal(Y, ref)
     assert sup.last_report.degraded
@@ -231,8 +256,8 @@ def test_supervise_span_records_ladder(small_random_csr, x):
     tracer = Tracer()
     fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
                              fail_applies=1)
-    sup = SupervisedSpMV(small_random_csr, fk, nthreads=4,
-                         backoff_seconds=0.0, tracer=tracer)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             backoff_seconds=0.0, tracer=tracer)
     sup.matvec(x)
     (span,) = tracer.find("supervise")
     supervision = span.attributes["supervision"]

@@ -11,14 +11,13 @@ granularity (``row_align``).
 import numpy as np
 import pytest
 
-from repro.guard.guarded import GuardedKernel
+from repro.engine import ExecutorSpec, GuardedKernel, build_executor
 from repro.kernels import baseline_kernel, merged_pool_kernel
 from repro.kernels.bcsr import BCSRSpMV
 from repro.kernels.sellcs import SellCSigmaSpMV
 from repro.parallel import (
     ParallelConfig,
     ParallelKernel,
-    ParallelSpMV,
     active_worker_counts,
     get_executor,
 )
@@ -169,7 +168,8 @@ def test_executor_pool_reused():
 
 def test_parallel_spmv_facade(skewed_csr, rng):
     x = rng.standard_normal(skewed_csr.ncols)
-    op = ParallelSpMV(skewed_csr, nthreads=4, guard=True)
+    op = build_executor(skewed_csr, ExecutorSpec(
+        guard=True, parallel=ParallelConfig(nthreads=4)))
     np.testing.assert_array_equal(op.matvec(x), skewed_csr.matvec(x))
     np.testing.assert_array_equal(op @ x, skewed_csr.matvec(x))
     X = rng.standard_normal((skewed_csr.ncols, 3))

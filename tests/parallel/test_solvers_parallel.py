@@ -1,6 +1,7 @@
 """Solvers through the parallel plane: bit-identical residual history.
 
-``ParallelSpMV`` exposes the ``matvec(x, out=, workspace=)`` surface
+A parallel engine stack (``build_executor`` with a ``ParallelConfig``)
+exposes the ``matvec(x, out=, workspace=)`` surface
 that :func:`repro.solvers.base.as_matvec_into` probes, so CG/GMRES run
 their hot-loop matvecs on the thread pool with zero solver changes.
 Because chunked execution preserves the serial reduction order, the
@@ -11,8 +12,14 @@ serial solve bit for bit.
 import numpy as np
 import pytest
 
-from repro.parallel import ParallelSpMV
+from repro.engine import ExecutorSpec, build_executor
+from repro.parallel import ParallelConfig
 from repro.solvers import cg, gmres
+
+
+def _parallel(csr, nthreads, schedule="balanced-nnz"):
+    return build_executor(csr, ExecutorSpec(
+        parallel=ParallelConfig(nthreads, schedule)))
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +37,7 @@ def rhs(spd, rng):
 @pytest.mark.parametrize("nthreads", [2, 4])
 def test_cg_residuals_bit_identical(spd, rhs, nthreads):
     serial = cg(spd, rhs, tol=1e-10, maxiter=400)
-    par = cg(ParallelSpMV(spd, nthreads=nthreads), rhs,
+    par = cg(_parallel(spd, nthreads), rhs,
              tol=1e-10, maxiter=400)
     assert par.converged == serial.converged
     assert par.iterations == serial.iterations
@@ -44,7 +51,7 @@ def test_cg_residuals_bit_identical(spd, rhs, nthreads):
 @pytest.mark.parametrize("nthreads", [2, 4])
 def test_gmres_residuals_bit_identical(spd, rhs, nthreads):
     serial = gmres(spd, rhs, tol=1e-10, restart=20, maxiter=200)
-    par = gmres(ParallelSpMV(spd, nthreads=nthreads), rhs,
+    par = gmres(_parallel(spd, nthreads), rhs,
                 tol=1e-10, restart=20, maxiter=200)
     assert par.converged == serial.converged
     assert par.iterations == serial.iterations
@@ -57,7 +64,7 @@ def test_gmres_residuals_bit_identical(spd, rhs, nthreads):
 
 def test_cg_dynamic_schedule_identical(spd, rhs):
     serial = cg(spd, rhs, tol=1e-10, maxiter=400)
-    par = cg(ParallelSpMV(spd, nthreads=3, schedule="dynamic"), rhs,
+    par = cg(_parallel(spd, 3, "dynamic"), rhs,
              tol=1e-10, maxiter=400)
     np.testing.assert_array_equal(
         np.asarray(par.residual_history),

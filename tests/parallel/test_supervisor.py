@@ -12,16 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ParallelMeasurement,
-    SupervisedSpMV,
+from repro.engine import (
+    SupervisedExecutor,
     clear_demotions,
     demoted_target,
     demotion_count,
     demotion_log,
+    record_demotion,
+)
+from repro.parallel import (
+    ParallelMeasurement,
     get_executor,
     pool_health,
-    record_demotion,
     recycle_executor,
 )
 
@@ -95,7 +97,7 @@ def test_demotion_registry_keeps_lowest_target_and_counts_events():
 
 def test_supervised_matches_serial_when_nothing_fails(small_random_csr):
     x = np.random.default_rng(5).standard_normal(small_random_csr.ncols)
-    sup = SupervisedSpMV(small_random_csr, nthreads=4)
+    sup = SupervisedExecutor(small_random_csr, nthreads=4)
     np.testing.assert_array_equal(
         sup.matvec(x), small_random_csr.matvec(x)
     )
@@ -113,7 +115,7 @@ def test_supervised_matmat_matches_serial(small_random_csr):
     X = np.random.default_rng(6).standard_normal(
         (small_random_csr.ncols, 3)
     )
-    sup = SupervisedSpMV(small_random_csr, nthreads=2)
+    sup = SupervisedExecutor(small_random_csr, nthreads=2)
     np.testing.assert_array_equal(
         sup.matmat(X), small_random_csr.matmat(X)
     )
@@ -123,7 +125,7 @@ def test_supervised_matmat_matches_serial(small_random_csr):
 def test_supervised_out_buffer_written_in_place(small_random_csr):
     x = np.random.default_rng(7).standard_normal(small_random_csr.ncols)
     out = np.empty(small_random_csr.nrows)
-    sup = SupervisedSpMV(small_random_csr, nthreads=2)
+    sup = SupervisedExecutor(small_random_csr, nthreads=2)
     y = sup.matvec(x, out=out)
     assert y is out
     np.testing.assert_array_equal(out, small_random_csr.matvec(x))
@@ -133,8 +135,8 @@ def test_report_summary_is_json_ready(small_random_csr):
     import json
 
     x = np.ones(small_random_csr.ncols)
-    sup = SupervisedSpMV(small_random_csr, nthreads=2,
-                         deadline_seconds=60.0)
+    sup = SupervisedExecutor(small_random_csr, nthreads=2,
+                             deadline_seconds=60.0)
     sup.matvec(x)
     summary = sup.last_report.summary()
     json.dumps(summary)  # must not raise
