@@ -9,7 +9,6 @@
     repro-spmv trace NAME                 # JSON span export
     repro-spmv validate path/to/matrix.mtx
     repro-spmv run NAME --engine-spec guard,threads=2,supervise
-    repro-spmv bench --rhs 32             # single vs batched GFLOP/s
     repro-spmv parallel NAME --threads 1,2,4,8   # measured imbalance
     repro-spmv calibrate --quick -o profile.json # host MachineProfile
     repro-spmv model NAME --explain       # Table I/II bound breakdown
@@ -218,34 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ex.add_argument("directory")
     p_ex.add_argument("--scale", type=float, default=1.0)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark single-RHS vs batched SpMV per kernel variant",
-    )
-    p_bench.add_argument("--rhs", type=int, default=32,
-                         help="right-hand sides per batch")
-    p_bench.add_argument("--scale", type=float, default=1.0,
-                         help="benchmark matrix size scale")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timing repetitions (median is kept)")
-    p_bench.add_argument("--output", default="BENCH_kernels.json",
-                         help="JSON output path ('-' to skip writing)")
-    p_bench.add_argument("--threads", default="1,2,4,8",
-                         help="comma-separated thread counts for the "
-                         "measured-parallel section")
-    p_bench.add_argument("--engine-spec", default=None, metavar="SPEC",
-                         help=_ENGINE_SPEC_HELP + "; layered around the "
-                         "measured-parallel cells (threads/schedule come "
-                         "from the sweep grid)")
-    p_bench.add_argument("--profile", default=None, metavar="PATH",
-                         help="predict the v4 model columns through a "
-                         "CalibratedModel built from this machine "
-                         "profile (see 'calibrate')")
-    p_bench.add_argument("--platform", default="knl",
-                         choices=sorted(PLATFORMS),
-                         help="simulated platform the model columns "
-                         "predict against")
 
     p_par = sub.add_parser(
         "parallel",
@@ -563,40 +534,6 @@ def _parse_threads(spec: str) -> tuple[int, ...]:
     return threads
 
 
-def _cmd_bench(args) -> int:
-    from .experiments import bench_batched
-
-    if args.rhs < 1:
-        print("error: --rhs must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        threads = _parse_threads(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine_spec = None
-    if args.engine_spec:
-        try:
-            engine_spec = parse_engine_spec(args.engine_spec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    machine = get_platform(args.platform)
-    try:
-        model = _load_model(machine, args.profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = None if args.output == "-" else args.output
-    table = bench_batched.run(
-        rhs=args.rhs, scale=args.scale, repeats=args.repeats,
-        out_path=out, threads=threads, engine_spec=engine_spec,
-        model=model,
-    )
-    print(table.to_text())
-    return 0
-
-
 def _cmd_parallel(args) -> int:
     from .experiments.common import render_table
     from .kernels import baseline_kernel
@@ -906,7 +843,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "run": _cmd_run,
         "validate": _cmd_validate,
-        "bench": _cmd_bench,
         "parallel": _cmd_parallel,
         "calibrate": _cmd_calibrate,
         "model": _cmd_model,

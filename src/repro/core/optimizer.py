@@ -78,9 +78,9 @@ __all__ = [
 #: ``executor_spec`` field (:class:`~repro.engine.ExecutorSpec`); v3
 #: adds ``cost_model`` (which :class:`~repro.model.base.CostModel`
 #: signature the decision was made under).
-#: :meth:`OptimizationPlan.from_dict` still reads v1 and v2 payloads,
-#: upgrading them to the default serial spec / analytic model — exactly
-#: how those plans were decided — so old persisted caches stay loadable.
+#: :meth:`OptimizationPlan.from_dict` reads only this version; a cache
+#: holding older plans loads as an empty cache (see
+#: :meth:`PlanCache.load`) and the optimizer replans.
 PLAN_SCHEMA_VERSION = 3
 
 #: Version of the :meth:`PlanCache.save` file layout. v2 wraps the v1
@@ -404,8 +404,7 @@ class OptimizationPlan:
     executor_spec: ExecutorSpec = field(default_factory=ExecutorSpec)
     #: signature of the :class:`~repro.model.base.CostModel` the
     #: decision was made under ("analytic", or
-    #: "calibrated:<profile digest>"). v1/v2 payloads upgrade to
-    #: "analytic" — the only model those builds had.
+    #: "calibrated:<profile digest>").
     cost_model: str = "analytic"
 
     @property
@@ -431,28 +430,17 @@ class OptimizationPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OptimizationPlan":
-        """Inverse of :meth:`to_dict`; rejects unknown schema versions.
-
-        v1 payloads (written before the execution engine existed) carry
-        no ``executor_spec`` and upgrade to the default serial spec; v2
-        payloads (pre-cost-model) carry no ``cost_model`` and upgrade
-        to ``"analytic"`` — in both cases exactly how those plans were
-        decided and executed, so old caches load instead of dropping.
-        """
+        """Inverse of :meth:`to_dict`; rejects any schema version other
+        than :data:`PLAN_SCHEMA_VERSION`."""
         version = payload.get("schema_version")
-        if version not in (1, 2, PLAN_SCHEMA_VERSION):
+        if version != PLAN_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported plan schema {version!r} "
                 f"(this build reads {PLAN_SCHEMA_VERSION})"
             )
-        spec_payload = payload.get("executor_spec")
-        executor_spec = (
-            ExecutorSpec() if spec_payload is None
-            else ExecutorSpec.from_dict(spec_payload)
-        )
         return cls(
-            executor_spec=executor_spec,
-            cost_model=payload.get("cost_model", "analytic"),
+            executor_spec=ExecutorSpec.from_dict(payload["executor_spec"]),
+            cost_model=payload["cost_model"],
             classes=frozenset(
                 Bottleneck(v) for v in payload["classes"]
             ),
@@ -490,31 +478,10 @@ class OptimizedSpMV:
     #: the :class:`~repro.model.base.CostModel` predictions run through
     #: (None falls back to a fresh analytic model on first use).
     model: object | None = field(default=None, repr=False)
-    #: memoized :class:`~repro.engine.KernelExecutor` behind
-    #: ``matvec``/``matmat``; rebuilt whenever ``kernel``/``data`` are
-    #: reassigned (identity-checked per call, so live mutation of the
-    #: operator keeps working).
-    _engine_cache: object | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.csr.shape
-
-    def _engine(self):
-        """The serial engine leaf this operator applies through."""
-        from ..engine.executor import KernelExecutor
-
-        cached = self._engine_cache
-        if (
-            cached is None
-            or cached.kernel is not self.kernel
-            or cached.data is not self.data
-        ):
-            cached = KernelExecutor(self.csr, self.kernel, data=self.data)
-            self._engine_cache = cached
-        return cached
 
     def executor(self, spec: ExecutorSpec | None = None, *, tracer=None):
         """Assemble the full engine stack for the planned kernel.
@@ -545,14 +512,15 @@ class OptimizedSpMV:
         With ``out=`` the result lands in the caller-owned buffer and,
         after a warm-up apply populates the operator's workspace, the
         steady state allocates no new arrays."""
-        return self._engine().apply(x, out=out, workspace=self.workspace)
+        return self.kernel.apply(self.data, x, out=out,
+                                 workspace=self.workspace)
 
     def matmat(self, X: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
         """Batched ``A @ X`` for ``X`` of shape ``(ncols, k)`` through
         the kernel's multi-RHS plane."""
-        return self._engine().apply_multi(X, out=out,
-                                          workspace=self.workspace)
+        return self.kernel.apply_multi(self.data, X, out=out,
+                                       workspace=self.workspace)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

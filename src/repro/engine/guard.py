@@ -30,8 +30,6 @@ re-checking the same buffer on every nested call.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from ..formats import CSRMatrix
@@ -42,23 +40,6 @@ from ..machine import KernelCost, MachineSpec
 from ..sched import Partition, make_partition
 
 __all__ = ["GuardedData", "GuardedKernel", "guard_kernel"]
-
-
-def _accepts_out(method) -> bool:
-    """True when ``method`` can take the ``out=``/``workspace=`` pair.
-
-    Guarded wrappers accept arbitrary inner kernels, including legacy
-    and test kernels whose ``apply(self, data, x)`` predates the
-    zero-allocation plane; those are called without the keywords and
-    their result is copied into ``out`` after validation.
-    """
-    try:
-        params = inspect.signature(method).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        return True
-    return "out" in params and "workspace" in params
 
 
 class GuardedData:
@@ -87,7 +68,7 @@ class GuardedKernel(Kernel):
     (``guard -> kernel[csr]``).
     """
 
-    def __init__(self, inner: Kernel, workspace=None):
+    def __init__(self, inner: Kernel):
         if isinstance(inner, GuardedKernel):
             inner = inner.inner
         self.inner = inner
@@ -98,13 +79,6 @@ class GuardedKernel(Kernel):
         #: faults caught by *this wrapper* (the registry aggregates per
         #: variant name across wrappers); exported by pipeline tracers.
         self.failure_events = 0
-        #: default :class:`~repro.memory.workspace.Workspace` arena used
-        #: when the caller does not pass one explicitly.
-        self.workspace = workspace
-        # Legacy/test kernels may predate the out=/workspace= plane;
-        # probe once at wrap time so apply() stays cheap.
-        self._apply_takes_out = _accepts_out(inner.apply)
-        self._multi_takes_out = _accepts_out(inner.apply_multi)
 
     def _record(self, reason: str) -> None:
         self.failure_events += 1
@@ -135,7 +109,6 @@ class GuardedKernel(Kernel):
 
     def apply(self, data: GuardedData, x: np.ndarray,
               out: np.ndarray | None = None, workspace=None) -> np.ndarray:
-        workspace = workspace if workspace is not None else self.workspace
         trusted = None
         if out is not None:
             # Validate once at the engine boundary; everything nested
@@ -158,7 +131,6 @@ class GuardedKernel(Kernel):
     def apply_multi(self, data: GuardedData, X: np.ndarray,
                     out: np.ndarray | None = None,
                     workspace=None) -> np.ndarray:
-        workspace = workspace if workspace is not None else self.workspace
         trusted = None
         if out is not None:
             X = np.asarray(X)
@@ -182,14 +154,9 @@ class GuardedKernel(Kernel):
         name = self.inner.name
         if data.inner is None or is_quarantined(name):
             return None
-        takes_out = self._multi_takes_out if multi else self._apply_takes_out
-        kwargs = {"out": out, "workspace": workspace} if takes_out else {}
+        apply_fn = self.inner.apply_multi if multi else self.inner.apply
         try:
-            result = (
-                self.inner.apply_multi(data.inner, x, **kwargs)
-                if multi
-                else self.inner.apply(data.inner, x, **kwargs)
-            )
+            result = apply_fn(data.inner, x, out=out, workspace=workspace)
         except Exception as exc:
             self._record(f"apply raised {type(exc).__name__}: {exc}")
             return None

@@ -13,14 +13,11 @@ module             paper artifact
 ``table5``         Table V (amortization iterations, KNL)
 ``ablations``      A1-A6 ablations (incl. the A5/A6 extensions)
 ``report``         full markdown reproduction report
-``bench_batched``  single-RHS vs batched SpMM throughput (not a
-                   paper artifact; perf-regression tracking)
 ================  ============================================
 """
 
 from . import (
     ablations,
-    bench_batched,
     fig1,
     fig4,
     fig5,
@@ -44,7 +41,6 @@ __all__ = [
     "table5",
     "ablations",
     "report",
-    "bench_batched",
     "ExperimentTable",
     "render_table",
     "geometric_mean",

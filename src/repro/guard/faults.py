@@ -320,7 +320,8 @@ class BrokenKernel(Kernel):
     (0-based, counted across ``apply`` and ``apply_multi``),
 
     * ``mode="raise"``   raises ``RuntimeError``,
-    * ``mode="nan"``     poisons its first output element with NaN,
+    * ``mode="nan"``     poisons its first output element with NaN
+      (in place, so a caller's ``out=`` buffer holds the NaN),
     * ``mode="shape"``   returns a truncated (wrong-shape) result.
     """
 
@@ -349,16 +350,19 @@ class BrokenKernel(Kernel):
         if self.mode == "raise":
             raise RuntimeError("injected kernel fault")
         if self.mode == "nan":
-            out = out.copy()
             out.reshape(-1)[0] = np.nan
             return out
         return out[:-1]
 
-    def apply(self, data, x):
-        return self._sabotage(self.inner.apply(data, x))
+    def apply(self, data, x, out=None, workspace=None):
+        return self._sabotage(
+            self.inner.apply(data, x, out=out, workspace=workspace)
+        )
 
-    def apply_multi(self, data, X):
-        return self._sabotage(self.inner.apply_multi(data, X))
+    def apply_multi(self, data, X, out=None, workspace=None):
+        return self._sabotage(
+            self.inner.apply_multi(data, X, out=out, workspace=workspace)
+        )
 
     def cost(self, data, machine, partition):
         return self.inner.cost(data, machine, partition)

@@ -127,7 +127,8 @@ def test_spec_rides_the_plan_ir():
     assert revived.executor_spec == spec
 
 
-def test_v1_plan_payload_upgrades_to_default_spec():
+def test_v1_plan_payload_is_rejected():
+    """A pre-engine plan (no executor_spec) is no longer upgraded."""
     from repro.core import OptimizationPlan
 
     payload = {
@@ -139,5 +140,5 @@ def test_v1_plan_payload_upgrades_to_default_spec():
         "setup_seconds": 0.0,
         "classifier_kind": "profile-guided",
     }
-    plan = OptimizationPlan.from_dict(payload)
-    assert plan.executor_spec == ExecutorSpec()
+    with pytest.raises(ValueError, match="unsupported plan schema 1"):
+        OptimizationPlan.from_dict(payload)

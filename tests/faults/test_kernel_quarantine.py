@@ -37,6 +37,15 @@ def test_faulting_kernel_falls_back_bit_identically(small_random_csr, x,
     assert is_quarantined(broken.name)
     assert broken.name in quarantined_kernel_names()
 
+    # Same fault through a caller-owned buffer: the fallback lands in
+    # ``out`` itself, overwriting whatever the variant left there.
+    clear_quarantine(broken.name)
+    out = np.full(small_random_csr.nrows, 7.0)
+    y = guarded.apply(data, x, out=out)
+    assert y is out
+    np.testing.assert_array_equal(out, small_random_csr.matvec(x))
+    assert kernel_failure_count(broken.name) == 1
+
 
 def test_failure_log_records_reasons(small_random_csr, x):
     broken = BrokenKernel(baseline_kernel(), mode="shape")

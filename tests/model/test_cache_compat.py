@@ -84,22 +84,19 @@ def test_plan_ir_v3_round_trip(csr):
     assert restored.cost_model == plan.cost_model
 
 
-def test_plan_ir_accepts_legacy_versions(csr):
-    """v1/v2 payloads (pre-cost-model builds) still load and upgrade to
-    the analytic default."""
+def test_plan_ir_rejects_legacy_versions(csr):
+    """Only the current schema loads: v1/v2 payloads (pre-cost-model
+    builds) and payloads missing a required field are rejected."""
     plan = AdaptiveSpMV(KNL, classifier="profile").plan(csr)
     payload = plan.to_dict()
-    for legacy_version in (1, 2):
-        legacy = dict(payload)
-        legacy["schema_version"] = legacy_version
-        legacy.pop("cost_model", None)
-        if legacy_version == 1:
-            legacy.pop("executor_spec", None)
-        restored = OptimizationPlan.from_dict(legacy)
-        assert restored.cost_model == "analytic"
-    bad = dict(payload, schema_version=99)
-    with pytest.raises(ValueError, match="schema"):
-        OptimizationPlan.from_dict(bad)
+    for version in (1, 2, 99):
+        with pytest.raises(ValueError, match="schema"):
+            OptimizationPlan.from_dict(dict(payload, schema_version=version))
+    for field in ("executor_spec", "cost_model"):
+        partial = dict(payload)
+        del partial[field]
+        with pytest.raises(KeyError, match=field):
+            OptimizationPlan.from_dict(partial)
 
 
 def test_persisted_cache_warm_starts_across_models(csr, tmp_path):

@@ -147,30 +147,27 @@ print("fresh-process warm start ok")
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_load_upgrades_legacy_plans_to_default_executor_spec():
+def test_legacy_plan_cache_degrades_to_empty():
     """A schema-v2 cache file whose entries carry pre-engine v1 plans
-    (no ``executor_spec``) loads cleanly: every entry is kept and
-    upgraded to the default serial spec — not warn-and-dropped."""
-    import warnings
-
-    from repro.engine import ExecutorSpec
+    (no ``executor_spec``) is unusable: lenient load degrades it to an
+    empty cache with a warning, strict load raises."""
+    from repro.errors import PlanCacheWarning
 
     path = FIXTURES / "plan_cache_v2_legacy_plans.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any PlanCacheWarning fails
+    with pytest.warns(PlanCacheWarning):
         cache = PlanCache.load(path)
-    assert cache.load_recovery_reason is None
-    assert len(cache) == 2
-    for entry in cache._entries.values():
-        assert entry.plan.executor_spec == ExecutorSpec()
-        assert entry.kernel is not None
+    assert len(cache) == 0
+    assert "unsupported plan schema 1" in cache.load_recovery_reason
+    with pytest.raises(ValueError, match="unsupported plan schema"):
+        PlanCache.load(path, strict=True)
 
 
-def test_legacy_plan_cache_serves_warm_start(small_random_csr, tmp_path):
+def test_legacy_plan_cache_replans_cold(small_random_csr, tmp_path):
     """End-to-end: a cache written by this build, rewritten to the
-    legacy v1 plan layout (as an old build would have saved it), still
-    warm-starts a fresh optimizer with a hit and identical numerics."""
+    legacy v1 plan layout (as an old build would have saved it), gives
+    no warm start; the optimizer replans with identical numerics."""
     from repro.core.optimizer import _body_checksum
+    from repro.errors import PlanCacheWarning
 
     cold = AdaptiveSpMV(KNL, classifier="profile")
     op_cold = cold.optimize(small_random_csr)
@@ -186,12 +183,12 @@ def test_legacy_plan_cache_serves_warm_start(small_random_csr, tmp_path):
     payload["checksum"] = _body_checksum(payload["body"])
     path.write_text(json.dumps(payload))
 
-    warm = AdaptiveSpMV(
-        KNL, classifier="profile", plan_cache=PlanCache.load(path)
-    )
+    with pytest.warns(PlanCacheWarning):
+        loaded = PlanCache.load(path)
+    warm = AdaptiveSpMV(KNL, classifier="profile", plan_cache=loaded)
     op_warm = warm.optimize(small_random_csr)
-    assert op_warm.plan.cache_hit
-    assert op_warm.plan.decision_seconds == 0.0
+    assert not op_warm.plan.cache_hit
+    assert op_warm.plan.kernel_name == op_cold.plan.kernel_name
     x = np.random.default_rng(7).standard_normal(small_random_csr.ncols)
     np.testing.assert_array_equal(op_warm.matvec(x), op_cold.matvec(x))
 

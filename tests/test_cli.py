@@ -47,34 +47,6 @@ def test_experiment_table3(capsys):
     assert "Xeon Phi" in out
 
 
-def test_bench_command_writes_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--rhs", "4", "--scale", "0.004",
-                 "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "geomean batched speedup" in out
-    assert (tmp_path / "BENCH_kernels.json").exists()
-
-    import json
-
-    payload = json.loads((tmp_path / "BENCH_kernels.json").read_text())
-    assert payload["rhs"] == 4
-    assert payload["kernels"]
-
-
-def test_bench_command_skip_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--rhs", "2", "--scale", "0.004",
-                 "--repeats", "1", "--output", "-"]) == 0
-    assert "wrote" not in capsys.readouterr().out
-    assert not (tmp_path / "BENCH_kernels.json").exists()
-
-
-def test_bench_rejects_zero_rhs(capsys):
-    assert main(["bench", "--rhs", "0"]) == 2
-    assert "--rhs must be >= 1" in capsys.readouterr().err
-
-
 def test_parallel_command_reports_supervision(capsys):
     assert main(["parallel", "consph", "--platform", "knl",
                  "--scale", "0.05", "--threads", "1,2",
