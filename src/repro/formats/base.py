@@ -5,8 +5,9 @@ Every format in :mod:`repro.formats` exposes
 * the logical matrix (``shape``, ``nnz``),
 * a numeric plane: :meth:`SparseFormat.matvec` computes ``y = A @ x``
   and :meth:`SparseFormat.matmat` computes the batched ``Y = A @ X``
-  for a dense block of right-hand sides, both with vectorized NumPy,
-  used for correctness and by the solvers, and
+  for a dense block of right-hand sides (the CSR family on scipy's
+  compiled kernels, :mod:`repro.formats.compiled`; BCSR with
+  vectorized NumPy), used by the executors and the solvers, and
 * a storage-accounting plane: :meth:`SparseFormat.index_nbytes` /
   :meth:`SparseFormat.value_nbytes`, used by the machine model to derive
   memory traffic and by the paper's per-class performance bounds
@@ -22,7 +23,7 @@ import numpy as np
 from ..errors import ValidationReport
 
 __all__ = ["SparseFormat", "check_out_buffer", "contiguous_operand",
-           "gather_index", "trust_out_buffer"]
+           "trust_out_buffer"]
 
 
 class _TrustedOut(np.ndarray):
@@ -55,29 +56,17 @@ def trust_out_buffer(out: np.ndarray) -> np.ndarray:
     return out.view(_TrustedOut)
 
 
-def gather_index(indices: np.ndarray) -> np.ndarray:
-    """Return ``indices`` as a C-contiguous ``np.intp`` array.
-
-    ``np.take`` casts any other index dtype to ``intp`` on every call,
-    allocating an index-sized temporary each time — formats cache the
-    result of this function next to their (compressed, e.g. int32)
-    index arrays so steady-state gathers are allocation-free. When
-    ``indices`` is already contiguous ``intp`` the input is returned
-    unchanged (no copy).
-    """
-    return np.ascontiguousarray(indices, dtype=np.intp)
-
-
 def contiguous_operand(x: np.ndarray, workspace,
                        name: str) -> np.ndarray:
-    """Return ``x`` as a C-contiguous operand for the gather kernels.
+    """Return ``x`` as a C-contiguous operand for the kernels.
 
-    ``np.take`` silently copies a non-contiguous source (e.g. a column
-    view of a multi-RHS block) into a fresh buffer on every call. A
-    contiguous ``x`` passes through untouched; otherwise the copy goes
-    through the workspace arena when one is supplied, keeping the
-    steady state allocation-free. Values are unchanged either way, so
-    results stay bit-identical.
+    The compiled kernels (and ``np.take``) silently copy a
+    non-contiguous source (e.g. a column view of a multi-RHS block)
+    into a fresh buffer on every call. A contiguous ``x`` passes
+    through untouched; otherwise the copy goes through the workspace
+    arena when one is supplied, keeping the steady state
+    allocation-free. Values are unchanged either way, so results stay
+    bit-identical.
     """
     if x.flags.c_contiguous:
         return x

@@ -24,6 +24,30 @@ from .csr import CSRMatrix
 
 __all__ = ["BCSRMatrix"]
 
+#: Element budget for the ``(blocks, r, k)`` contribution intermediate
+#: of the batched kernel: 2^15 float64 = 256 KiB, sized so the tile
+#: stays L2-resident.
+_TILE_ELEMS = 32768
+
+
+class _SegmentPlan:
+    """Block-row reduction plan over ``block_rowptr`` (structure only,
+    cached with the rest of the apply plan)."""
+
+    __slots__ = ("lengths", "has_empty", "nonempty", "starts", "maxlen")
+
+    def __init__(self, segptr: np.ndarray):
+        lengths = np.diff(segptr)
+        self.lengths = lengths
+        self.maxlen = int(lengths.max(initial=0))
+        self.has_empty = bool(lengths.min(initial=1) == 0)
+        if self.has_empty:
+            self.nonempty = np.flatnonzero(lengths > 0)
+            self.starts = segptr[self.nonempty]
+        else:
+            self.nonempty = None
+            self.starts = segptr[:-1]
+
 
 class BCSRMatrix(SparseFormat):
     """Sparse matrix in block-CSR format with square ``block`` tiles.
@@ -185,10 +209,8 @@ class BCSRMatrix(SparseFormat):
         """Cached structure-derived apply plan:
         ``(xidx, seg, pad_cols, nbrows)`` where ``xidx[b]`` are the
         ``block`` padded-x indices gathered by block ``b`` and ``seg``
-        is the block-row :class:`~repro.formats.csr._SegmentPlan`."""
+        is the block-row :class:`_SegmentPlan`."""
         if self._plan is None:
-            from .csr import _SegmentPlan
-
             r = self.block
             xidx = (
                 self.block_colind.astype(np.int64)[:, None] * r
@@ -261,8 +283,6 @@ class BCSRMatrix(SparseFormat):
         ranges so the ``(blocks, r, k)`` contribution intermediate stays
         cache-resident.
         """
-        from .csr import _TILE_ELEMS
-
         X = self._check_matmat_input(X)
         r = self.block
         k = X.shape[1]

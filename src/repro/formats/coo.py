@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_shape_2d, ensure_1d
-from .base import SparseFormat, check_out_buffer, contiguous_operand
+from .base import SparseFormat
 
 __all__ = ["COOMatrix"]
 
@@ -39,7 +39,7 @@ class COOMatrix(SparseFormat):
 
     format_name = "coo"
 
-    __slots__ = ("rows", "cols", "values", "_shape", "_seg")
+    __slots__ = ("rows", "cols", "values", "_shape", "_csr")
 
     def __init__(self, rows, cols, values, shape, *,
                  sum_duplicates: bool = True, trusted: bool = False):
@@ -76,7 +76,7 @@ class COOMatrix(SparseFormat):
         self.rows = rows
         self.cols = cols
         self.values = values
-        self._seg = None
+        self._csr = None
 
     # -- SparseFormat interface ---------------------------------------
 
@@ -99,7 +99,7 @@ class COOMatrix(SparseFormat):
         if (rows_ok and cols_ok and self.rows.size > 1
                 and self.rows.size == self.cols.size):
             # Canonical COO is sorted by (row, col) with duplicates
-            # merged; the batched kernel builds row segments from runs.
+            # merged; the numeric plane reads its row runs as CSR rows.
             key = self.rows * np.int64(self.ncols) + self.cols
             bad = np.flatnonzero(np.diff(key) <= 0)
             if bad.size:
@@ -110,87 +110,32 @@ class COOMatrix(SparseFormat):
                     f"{p} (row {int(self.rows[p])}, col {int(self.cols[p])})",
                 )
 
-    def _row_segments(self):
-        """Cached row-run segmentation of the canonical entry order:
-        ``(seg_rows, segptr, plan)`` where run ``s`` covers entries
-        ``segptr[s]:segptr[s+1]`` of output row ``seg_rows[s]``."""
-        if self._seg is None:
-            from .csr import _SegmentPlan
+    def _csr_view(self):
+        """Cached CSR view for the numeric plane.
 
-            change = np.empty(self.rows.size, dtype=bool)
-            if self.rows.size:
-                change[0] = True
-                change[1:] = np.diff(self.rows) != 0
-            starts = np.flatnonzero(change)
-            segptr = np.append(starts, self.rows.size)
-            self._seg = (self.rows[starts], segptr, _SegmentPlan(segptr))
-        return self._seg
+        Canonical sorting makes each output row a contiguous run of
+        entries, so a row pointer over those runs turns the triplets
+        into CSR without reordering anything. The view shares
+        ``values`` with this matrix, so in-place value updates stay
+        visible.
+        """
+        if self._csr is None:
+            from .csr import CSRMatrix
+
+            self._csr = CSRMatrix.from_coo(self)
+        return self._csr
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """``y = A @ x`` via the cached row-run segmentation.
-
-        Canonical sorting makes each output row a contiguous run, so
-        the same reduceat reduction as CSR applies — no ``np.add.at``
-        scatter is needed.
-        """
-        from .csr import _segment_sums_into
-
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        if out is None:
-            y = np.zeros(self.nrows, dtype=np.float64)
-        else:
-            y = check_out_buffer(out, (self.nrows,), operand=x)
-            y[:] = 0.0
-        if self.values.size == 0:
-            return y
-        x = contiguous_operand(x, workspace, "coo.x")
-        seg_rows, segptr, plan = self._row_segments()
-        if workspace is not None:
-            products = workspace.buffer("coo.products", self.values.size)
-            sums = workspace.buffer("coo.sums", seg_rows.size)
-        else:
-            products = np.empty(self.values.size, dtype=np.float64)
-            sums = np.empty(seg_rows.size, dtype=np.float64)
-        np.take(x, self.cols, out=products, mode="clip")
-        np.multiply(products, self.values, out=products)
-        _segment_sums_into(products, plan, sums, workspace, "coo")
-        y[seg_rows] = sums
-        return y
+        """``y = A @ x`` via the compiled CSR kernel on the cached
+        row-run view."""
+        return self._csr_view().matvec(x, out=out, workspace=workspace)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """Batched ``Y = A @ X``: one gather pass serves all columns.
-
-        Entries are canonically sorted by ``(row, col)``, so runs of
-        equal row index form contiguous segments and the CSR segmented
-        batched kernel applies directly — no scatter-add over ``k``-wide
-        rows is needed.
-        """
-        from .csr import _segment_matmat
-
-        X = self._check_matmat_input(X)
-        k = X.shape[1]
-        if out is None:
-            Y = np.zeros((self.nrows, k), dtype=np.float64)
-        else:
-            Y = check_out_buffer(out, (self.nrows, k), operand=X)
-            Y[:] = 0.0
-        if self.values.size == 0 or k == 0:
-            return Y
-        seg_rows, segptr, plan = self._row_segments()
-        if workspace is not None:
-            sums = workspace.buffer("coo.matmat.sums", (seg_rows.size, k))
-        else:
-            sums = np.empty((seg_rows.size, k), dtype=np.float64)
-        _segment_matmat(
-            self.cols, self.values, segptr, X, seg_rows.size,
-            out=sums, workspace=workspace, plan=plan, name="coo",
-        )
-        Y[seg_rows] = sums
-        return Y
+        """Batched ``Y = A @ X``: one pass over the entries serves all
+        columns (the CSR batched kernel on the row-run view)."""
+        return self._csr_view().matmat(X, out=out, workspace=workspace)
 
     def index_nbytes(self) -> int:
         return int(self.rows.nbytes + self.cols.nbytes)

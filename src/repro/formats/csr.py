@@ -9,14 +9,14 @@ Beyond storage, :class:`CSRMatrix` carries the vectorized row-statistics
 helpers (row lengths, bandwidths, nonzero gaps) that both the feature
 extractor (paper Table II) and the machine cost model are built on.
 
-The numeric kernels participate in the zero-allocation execution plane
-(docs/performance.md): every kernel accepts ``out=`` and ``workspace=``
-so repeat executions write into caller-owned buffers, and the
-structure-derived iteration plans (segment boundaries, the CSC
-permutation for ``rmatvec``, the length-sorted row order of the
-compensated kernel) are computed once and cached on the matrix —
-structural arrays are immutable by contract, only ``values`` may be
-swapped/mutated by plan rebuilds.
+The numeric kernels run scipy's compiled sparsetools loops
+(:mod:`repro.formats.compiled`) and participate in the zero-allocation
+execution plane (docs/performance.md): every kernel accepts ``out=``
+and ``workspace=`` so repeat executions write into caller-owned
+buffers, and the structure-derived plans (the single-dtype index pair,
+the length-sorted row order of the compensated kernel) are computed
+once and cached on the matrix — structural arrays are immutable by
+contract, only ``values`` may be swapped/mutated by plan rebuilds.
 """
 
 from __future__ import annotations
@@ -24,12 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_shape_2d, ensure_1d
-from .base import (
-    SparseFormat,
-    check_out_buffer,
-    contiguous_operand,
-    gather_index,
-)
+from .base import SparseFormat, check_out_buffer, contiguous_operand
+from .compiled import csc_matvec, csr_matmat, csr_matvec, index_pair
 
 __all__ = ["CSRMatrix"]
 
@@ -51,13 +47,15 @@ class CSRMatrix(SparseFormat):
         When True, skip the O(nnz) structural checks. Only for arrays
         produced by our own converters and plan rebuilds, where the
         invariants hold by construction; untrusted inputs go through
-        the default path (or ``validate()``).
+        the default path (or ``validate()``). The compiled kernels do
+        not bounds-check, so a trusted matrix that breaks an invariant
+        reads out of bounds.
     """
 
     format_name = "csr"
 
     __slots__ = ("rowptr", "colind", "values", "_shape",
-                 "_row_ids", "_seg", "_csc", "_comp", "_ipcol")
+                 "_row_ids", "_idx", "_comp")
 
     def __init__(self, rowptr, colind, values, shape, *, trusted=False):
         self._shape = check_shape_2d("shape", shape)
@@ -85,10 +83,8 @@ class CSRMatrix(SparseFormat):
         self.values = values
         # Structure-derived plan caches (lazy; values-independent).
         self._row_ids = None
-        self._seg = None
-        self._csc = None
+        self._idx = None
         self._comp = None
-        self._ipcol = None
 
     # -- SparseFormat interface ---------------------------------------
 
@@ -116,7 +112,7 @@ class CSRMatrix(SparseFormat):
         check_index_bounds(report, "colind", self.colind, self.ncols)
         if ptr_ok and self.colind.size:
             # Canonical CSR keeps columns strictly increasing per row;
-            # duplicates or disorder silently break reduceat kernels.
+            # conversions and the delta encoding rely on it.
             gaps = np.diff(self.colind.astype(np.int64))
             interior = np.ones(self.colind.size - 1, dtype=bool)
             starts = self.rowptr[1:-1]
@@ -133,44 +129,20 @@ class CSRMatrix(SparseFormat):
 
     # -- cached iteration plans ---------------------------------------
 
-    def _segment_plan(self) -> "_SegmentPlan":
-        """Row-segment reduction plan for rowptr (cached)."""
-        if self._seg is None:
-            self._seg = _SegmentPlan(self.rowptr)
-        return self._seg
-
-    def _gather_cols(self) -> np.ndarray:
-        """``colind`` as contiguous ``intp`` (cached): the gather
-        kernels would otherwise re-cast the compressed int32 indices on
-        every apply, allocating an nnz-sized temporary each call."""
-        if self._ipcol is None:
-            self._ipcol = gather_index(self.colind)
-        return self._ipcol
-
-    def _csc_plan(self):
-        """Cached column-major traversal: ``(perm, rows_csc, colplan)``.
-
-        ``perm`` is the stable sort of ``colind`` (so nonzeros of one
-        column keep their original relative order — this is what makes
-        the reduceat path bit-identical to the ``np.add.at`` scatter),
-        ``rows_csc`` is the row id of every nonzero in that order, and
-        ``colplan`` is the column-segment reduction plan.
+    def _index_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rowptr, colind)`` in one index dtype for the compiled
+        kernels (cached; see :func:`repro.formats.compiled.index_pair`).
         """
-        if self._csc is None:
-            # intp index arrays: keeps the per-call gathers cast-free.
-            perm = gather_index(np.argsort(self.colind, kind="stable"))
-            rows_csc = gather_index(self.row_ids_per_nnz()[perm])
-            colptr = np.zeros(self.ncols + 1, dtype=np.int64)
-            counts = np.bincount(self.colind, minlength=self.ncols)
-            np.cumsum(counts, out=colptr[1:])
-            self._csc = (perm, rows_csc, _SegmentPlan(colptr))
-        return self._csc
+        if self._idx is None:
+            self._idx = index_pair(self.rowptr, self.colind, self._shape)
+        return self._idx
 
     def _comp_plan(self):
         """Cached lockstep plan for the compensated kernel:
-        ``(order, sorted_nnz, base, maxlen)`` with rows sorted by
+        ``(order, sorted_nnz, base, maxlen, cols)`` with rows sorted by
         ascending length so each step-``k`` slice is a contiguous
-        suffix of ``order``.
+        suffix of ``order``, and ``colind`` as ``intp`` so the product
+        gather never re-casts the int32 indices.
         """
         if self._comp is None:
             row_nnz = self.row_nnz()
@@ -178,18 +150,19 @@ class CSRMatrix(SparseFormat):
             sorted_nnz = row_nnz[order]
             base = self.rowptr[:-1][order]
             maxlen = int(sorted_nnz[-1]) if sorted_nnz.size else 0
-            self._comp = (order, sorted_nnz, base, maxlen)
+            cols = self.colind.astype(np.intp)
+            self._comp = (order, sorted_nnz, base, maxlen, cols)
         return self._comp
 
     # -- numeric kernels ----------------------------------------------
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """Compute ``y = A @ x`` via a segmented gather-multiply-reduce.
+        """Compute ``y = A @ x`` with the compiled CSR kernel.
 
         With ``out=`` the result is written into the caller-owned
-        buffer; with ``workspace=`` the gathered-products intermediate
-        comes from the arena, so a repeat call allocates nothing.
+        buffer; ``workspace=`` only holds a contiguous copy of a
+        strided ``x``. The result equals scipy's ``S @ x`` bitwise.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
@@ -199,49 +172,37 @@ class CSRMatrix(SparseFormat):
         else:
             y = check_out_buffer(out, (self.nrows,), operand=x)
         x = contiguous_operand(x, workspace, "csr.matvec.x")
-        if workspace is not None:
-            products = workspace.buffer("csr.matvec.products", self.nnz)
-        else:
-            products = np.empty(self.nnz, dtype=np.float64)
-        # mode="clip" (indices are validated at construction): the
-        # default mode="raise" forces np.take through a buffered path
-        # that allocates an nnz-sized temporary on every call.
-        np.take(x, self._gather_cols(), out=products, mode="clip")
-        np.multiply(products, self.values, out=products)
-        _segment_sums_into(products, self._segment_plan(), y,
-                           workspace, "csr.matvec")
-        return y
+        return csr_matvec(self._index_pair(), self.values, self._shape,
+                          x, y)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
         """Compute ``Y = A @ X`` for a dense block of right-hand sides.
 
-        One pass over the nonzeros regardless of ``k``: each gathered
-        row of ``X`` serves all ``k`` vectors, so index traffic and the
+        One pass over the nonzeros regardless of ``k``: each nonzero
+        updates all ``k`` vectors of its row, so index traffic and the
         irregular x-access stream are amortized ``k``-fold (the SpMM
-        optimization of Saule et al., arXiv:1302.1078). Work is tiled
-        over row-aligned nnz blocks so the ``(nnz, k)`` product
-        intermediate stays cache-resident.
+        optimization of Saule et al., arXiv:1302.1078). Column ``j``
+        equals ``matvec(X[:, j])`` bitwise.
         """
         X = self._check_matmat_input(X)
-        if out is not None:
+        if out is None:
+            out = np.empty((self.nrows, X.shape[1]), dtype=np.float64)
+        else:
             out = check_out_buffer(out, (self.nrows, X.shape[1]),
                                    operand=X)
-        return _segment_matmat(
-            self._gather_cols(), self.values, self.rowptr, X,
-            self.nrows, out=out, workspace=workspace,
-            plan=self._segment_plan(), name="csr",
-        )
+        return csr_matmat(self._index_pair(), self.values, self._shape,
+                          X, out)
 
     def rmatvec(self, x: np.ndarray, out: np.ndarray | None = None,
                 workspace=None) -> np.ndarray:
         """Compute ``y = A.T @ x`` without materializing the transpose.
 
-        Traverses the nonzeros in cached column-major (CSC) order and
-        reduces each column segment with ``np.add.reduceat`` — an order
-        of magnitude faster than the equivalent ``np.add.at`` scatter,
-        and bit-identical to it because the stable permutation keeps
-        each column's contributions in original order. Used by
+        A's CSR arrays are ``A.T``'s CSC arrays, so the compiled CSC
+        kernel scatters each row's contributions into ``y`` in stored
+        order. Column ``j`` therefore accumulates its contributions in
+        ascending row order, the same order as an ``np.add.at`` scatter
+        over the nonzeros, and the two agree bitwise. Used by
         normal-equation solvers and PageRank-style rank propagation,
         where an explicit transpose would double the memory footprint.
         """
@@ -253,18 +214,8 @@ class CSRMatrix(SparseFormat):
         else:
             y = check_out_buffer(out, (self.ncols,), operand=x)
         x = contiguous_operand(x, workspace, "csr.rmatvec.x")
-        perm, rows_csc, colplan = self._csc_plan()
-        if workspace is not None:
-            products = workspace.buffer("csr.rmatvec.products", self.nnz)
-            vals = workspace.buffer("csr.rmatvec.values", self.nnz)
-        else:
-            products = np.empty(self.nnz, dtype=np.float64)
-            vals = np.empty(self.nnz, dtype=np.float64)
-        np.take(x, rows_csc, out=products, mode="clip")
-        np.take(self.values, perm, out=vals, mode="clip")
-        np.multiply(products, vals, out=products)
-        _segment_sums_into(products, colplan, y, workspace, "csr.rmatvec")
-        return y
+        return csc_matvec(self._index_pair(), self.values,
+                          (self.ncols, self.nrows), x, y)
 
     def matvec_compensated(self, x: np.ndarray,
                            out: np.ndarray | None = None,
@@ -288,7 +239,7 @@ class CSRMatrix(SparseFormat):
             raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
         n = self.nrows
         x = contiguous_operand(x, workspace, "csr.comp.x")
-        order, sorted_nnz, base, maxlen = self._comp_plan()
+        order, sorted_nnz, base, maxlen, cols = self._comp_plan()
 
         def scratch(name, size, dtype=np.float64):
             if workspace is not None:
@@ -296,7 +247,7 @@ class CSRMatrix(SparseFormat):
             return np.empty(size, dtype=dtype)
 
         products = scratch("products", self.nnz)
-        np.take(x, self._gather_cols(), out=products, mode="clip")
+        np.take(x, cols, out=products, mode="clip")
         np.multiply(products, self.values, out=products)
         if out is None:
             y = np.zeros(n, dtype=np.float64)
@@ -484,180 +435,3 @@ class CSRMatrix(SparseFormat):
             coo.cols, coo.rows, coo.values, (self.ncols, self.nrows)
         )
         return CSRMatrix.from_coo(flipped)
-
-
-class _SegmentPlan:
-    """Precomputed reduction plan over a CSR-style offset array.
-
-    Hoists the per-call ``np.diff``/``np.flatnonzero``/uniformity work
-    of the segmented kernels into a one-time, structure-only object
-    that formats cache next to their pointer arrays.
-    """
-
-    __slots__ = ("nseg", "lengths", "has_empty", "nonempty", "starts",
-                 "maxlen", "uniform")
-
-    def __init__(self, segptr: np.ndarray):
-        self.nseg = int(segptr.size - 1)
-        lengths = np.diff(segptr)
-        self.lengths = lengths
-        self.maxlen = int(lengths.max(initial=0))
-        self.has_empty = bool(lengths.min(initial=1) == 0)
-        if self.has_empty:
-            self.nonempty = np.flatnonzero(lengths > 0)
-            self.starts = segptr[self.nonempty]
-            self.uniform = 0
-        else:
-            self.nonempty = None
-            self.starts = segptr[:-1]
-            total = int(segptr[-1])
-            L = int(lengths[0]) if self.nseg else 0
-            uniform = (
-                self.nseg > 0
-                and total == self.nseg * L
-                and bool((lengths == L).all())
-            )
-            self.uniform = L if uniform else 0
-
-
-def _segment_sums_into(data: np.ndarray, plan: _SegmentPlan,
-                       out: np.ndarray, workspace=None,
-                       name: str = "seg") -> np.ndarray:
-    """Sum ``data`` within ``plan``'s segments, writing into ``out``.
-
-    Empty segments sum to 0. The dense (no-empty-segment) path reduces
-    straight into ``out``; the sparse path reduces the nonempty
-    segments into a workspace buffer (or a fresh temporary) and
-    scatters.
-    """
-    if not plan.has_empty:
-        if plan.nseg:
-            np.add.reduceat(data, plan.starts, out=out)
-        return out
-    out[:] = 0.0
-    if plan.nonempty.size:
-        if workspace is not None:
-            tmp = workspace.buffer(name + ".nonempty", plan.nonempty.size)
-            np.add.reduceat(data, plan.starts, out=tmp)
-            out[plan.nonempty] = tmp
-        else:
-            out[plan.nonempty] = np.add.reduceat(data, plan.starts)
-    return out
-
-
-def _segment_sums(data: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Sum ``data`` within segments delimited by ``boundaries``.
-
-    ``boundaries`` has ``nseg + 1`` entries; segment ``i`` covers
-    ``data[boundaries[i]:boundaries[i+1]]``. Empty segments sum to 0.
-    Uses ``np.add.reduceat`` on the non-empty segments, which avoids the
-    cancellation error a global cumulative sum would accumulate.
-    """
-    out = np.zeros(boundaries.size - 1, dtype=np.float64)
-    if data.size == 0:
-        return out
-    lengths = np.diff(boundaries)
-    nonempty = np.flatnonzero(lengths > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(data, boundaries[nonempty])
-    return out
-
-
-#: Element budget for the (tile_nnz, k) product intermediate of the
-#: batched kernel: 2^15 float64 = 256 KiB, sized so the gathered
-#: product tile stays L2-resident (measured optimum on this suite;
-#: larger tiles spill and lose the batching win on banded matrices).
-_TILE_ELEMS = 32768
-
-
-def _segment_matmat(colind: np.ndarray, values: np.ndarray,
-                    segptr: np.ndarray, X: np.ndarray,
-                    nseg: int, out: np.ndarray | None = None,
-                    workspace=None, plan: _SegmentPlan | None = None,
-                    name: str = "seg") -> np.ndarray:
-    """Batched segmented gather-multiply-reduce: ``out[i] = sum over
-    segment i of values[j] * X[colind[j]]``.
-
-    ``segptr`` has ``nseg + 1`` entries delimiting the segments (rows).
-    The 2-D gather ``X[colind]`` and per-segment ``np.add.reduceat``
-    along axis 0 run in row-aligned nnz tiles so the ``(tile, k)``
-    product buffer stays within ``_TILE_ELEMS`` elements; small
-    problems take a single-shot path with no tiling overhead.
-
-    ``out`` (validated by the caller) receives the result in place;
-    ``workspace`` supplies the product-tile buffers; ``plan`` supplies
-    a cached :class:`_SegmentPlan` so nothing structure-derived is
-    recomputed per call.
-    """
-    k = X.shape[1]
-    nnz = values.size
-    if plan is None:
-        plan = _SegmentPlan(segptr)
-    if out is None:
-        out = np.empty((nseg, k), dtype=np.float64)
-    if nnz == 0 or k == 0:
-        out[:] = 0.0
-        return out
-    vcol = values[:, None]
-    tile = max(_TILE_ELEMS // max(k, 1), 1)
-    if nnz <= tile:
-        if workspace is not None:
-            products = workspace.buffer(name + ".matmat.products", (nnz, k))
-            np.take(X, colind, axis=0, out=products, mode="clip")
-        else:
-            products = X[colind]
-        np.multiply(products, vcol, out=products)
-        if not plan.has_empty:
-            if plan.uniform:
-                # Uniform-width rows: a dense axis-1 sum beats the
-                # per-segment reduceat loop.
-                products.reshape(nseg, plan.uniform, k).sum(axis=1, out=out)
-            else:
-                np.add.reduceat(products, plan.starts, axis=0, out=out)
-            return out
-        out[:] = 0.0
-        if plan.nonempty.size:
-            out[plan.nonempty] = np.add.reduceat(
-                products, plan.starts, axis=0
-            )
-        return out
-    # Tiled path: advance whole segments at a time so reduceat never
-    # straddles a tile boundary; a segment longer than the tile budget
-    # is taken alone (the buffer is sized for the longest segment).
-    lengths = plan.lengths
-    buf_rows = int(min(nnz, max(tile, plan.maxlen)))
-    if workspace is not None:
-        buf = workspace.buffer(name + ".matmat.tile", (buf_rows, k))
-    else:
-        buf = np.empty((buf_rows, k), dtype=np.float64)
-    has_empty = plan.has_empty
-    s0 = 0
-    while s0 < nseg:
-        s1 = int(np.searchsorted(segptr, segptr[s0] + tile, side="right")) - 1
-        s1 = min(max(s1, s0 + 1), nseg)
-        lo, hi = int(segptr[s0]), int(segptr[s1])
-        products = buf[: hi - lo]
-        np.take(X, colind[lo:hi], axis=0, out=products, mode="clip")
-        np.multiply(products, vcol[lo:hi], out=products)
-        if not has_empty:
-            L = int(lengths[s0])
-            if hi - lo == (s1 - s0) * L and bool(
-                (lengths[s0:s1] == L).all()
-            ):
-                products.reshape(s1 - s0, L, k).sum(
-                    axis=1, out=out[s0:s1]
-                )
-            else:
-                np.add.reduceat(
-                    products, segptr[s0:s1] - lo, axis=0, out=out[s0:s1]
-                )
-        else:
-            nonempty = np.flatnonzero(lengths[s0:s1] > 0)
-            if nonempty.size:
-                out[s0 + nonempty] = np.add.reduceat(
-                    products, segptr[s0:s1][nonempty] - lo, axis=0
-                )
-            empty = np.flatnonzero(lengths[s0:s1] == 0)
-            out[s0 + empty] = 0.0
-        s0 = s1
-    return out

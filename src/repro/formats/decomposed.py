@@ -18,18 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    SparseFormat,
-    check_out_buffer,
-    contiguous_operand,
-    gather_index,
-)
-from .csr import (
-    CSRMatrix,
-    _SegmentPlan,
-    _segment_matmat,
-    _segment_sums_into,
-)
+from .base import SparseFormat, check_out_buffer, contiguous_operand
+from .csr import CSRMatrix
 
 __all__ = ["DecomposedCSR", "default_long_row_threshold"]
 
@@ -63,9 +53,7 @@ class DecomposedCSR(SparseFormat):
         "long_values",
         "threshold",
         "_shape",
-        "_longseg",
-        "_ipcols",
-        "_iprows",
+        "_long",
     )
 
     def __init__(self, short, long_rows, long_rowptr, long_colind, long_values,
@@ -77,9 +65,7 @@ class DecomposedCSR(SparseFormat):
         self.long_values = np.ascontiguousarray(long_values, dtype=np.float64)
         self.threshold = int(threshold)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._longseg = None
-        self._ipcols = None
-        self._iprows = None
+        self._long = None
         if not trusted:
             if self.long_rowptr.size != self.long_rows.size + 1:
                 raise ValueError(
@@ -208,87 +194,65 @@ class DecomposedCSR(SparseFormat):
     def long_nnz(self) -> int:
         return int(self.long_values.size)
 
-    def _long_plan(self) -> _SegmentPlan:
-        if self._longseg is None:
-            self._longseg = _SegmentPlan(self.long_rowptr)
-        return self._longseg
+    def long_part(self) -> CSRMatrix | None:
+        """The long rows as a compact CSR (row ``i`` is matrix row
+        ``long_rows[i]``), or None without long rows. Cached; it shares
+        this matrix's long-part arrays, and its constructor checks them
+        before the compiled kernel indexes with them."""
+        if self._long is None and self.long_rows.size:
+            self._long = CSRMatrix(
+                self.long_rowptr, self.long_colind, self.long_values,
+                (self.long_rows.size, self.ncols),
+            )
+        return self._long
 
-    def long_cols_gather(self) -> np.ndarray:
-        """``long_colind`` as contiguous ``intp`` (cached), so the
-        per-apply gather never re-casts the int32 indices."""
-        if self._ipcols is None:
-            self._ipcols = gather_index(self.long_colind)
-        return self._ipcols
+    def write_long_rows(self, x: np.ndarray, y: np.ndarray,
+                        workspace=None) -> np.ndarray:
+        """Write the long rows of ``A @ x`` into ``y`` after the short
+        part has filled it (``x``/``y`` a vector pair or a block pair).
 
-    def long_rows_gather(self) -> np.ndarray:
-        """``long_rows`` as contiguous ``intp`` (cached), for the
-        alloc-free read-modify-write of the long-row outputs."""
-        if self._iprows is None:
-            self._iprows = gather_index(self.long_rows)
-        return self._iprows
+        The short part stores no entry of a long row (``validate()``
+        checks this), so those rows of ``y`` hold 0 and the long sums
+        are written, not added: every row ends up bitwise equal to the
+        undecomposed CSR result. The sums buffer comes from
+        ``workspace`` when one is supplied.
+        """
+        long = self.long_part()
+        if long is None:
+            return y
+        shape = (long.nrows,) + y.shape[1:]
+        if workspace is not None:
+            sums = workspace.buffer("dcsr.long.sums", shape)
+        else:
+            sums = np.empty(shape, dtype=np.float64)
+        if y.ndim == 1:
+            long.matvec(x, out=sums, workspace=workspace)
+        else:
+            long.matmat(x, out=sums)
+        y[self.long_rows] = sums
+        return y
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if out is not None:
             out = check_out_buffer(out, (self.nrows,), operand=x)
-        # One contiguous copy serves both the short CSR kernel (which
-        # would otherwise make its own) and the long-row gather below.
+        # One contiguous copy serves both parts (each would otherwise
+        # make its own).
         x = contiguous_operand(x, workspace, "csr.matvec.x")
         y = self.short.matvec(x, out=out, workspace=workspace)
-        nlong = self.long_rows.size
-        if nlong:
-            if workspace is not None:
-                products = workspace.buffer("dcsr.long.products",
-                                            self.long_values.size)
-                sums = workspace.buffer("dcsr.long.sums", nlong)
-                rowbuf = workspace.buffer("dcsr.long.rows", nlong)
-            else:
-                products = np.empty(self.long_values.size, dtype=np.float64)
-                sums = np.empty(nlong, dtype=np.float64)
-                rowbuf = np.empty(nlong, dtype=np.float64)
-            np.take(x, self.long_cols_gather(), out=products,
-                    mode="clip")
-            np.multiply(products, self.long_values, out=products)
-            _segment_sums_into(products, self._long_plan(), sums,
-                               workspace, "dcsr.long")
-            # y[long_rows] += sums without a fancy-index temporary
-            # (long_rows is duplicate-free by construction).
-            rows = self.long_rows_gather()
-            np.take(y, rows, out=rowbuf, mode="clip")
-            np.add(rowbuf, sums, out=rowbuf)
-            y[rows] = rowbuf
-        return y
+        return self.write_long_rows(x, y, workspace)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """Batched two-part apply: short part via the CSR batched
-        kernel, long rows via the same segmented kernel on their
-        contiguous storage."""
+        """Batched two-part apply: both parts run the CSR batched
+        kernel."""
         X = self._check_matmat_input(X)
-        k = X.shape[1]
         if out is not None:
-            out = check_out_buffer(out, (self.nrows, k), operand=X)
+            out = check_out_buffer(out, (self.nrows, X.shape[1]),
+                                   operand=X)
         Y = self.short.matmat(X, out=out, workspace=workspace)
-        nlong = self.long_rows.size
-        if nlong:
-            if workspace is not None:
-                sums = workspace.buffer("dcsr.long.matmat.sums", (nlong, k))
-                rowbuf = workspace.buffer("dcsr.long.matmat.rows", (nlong, k))
-            else:
-                sums = np.empty((nlong, k), dtype=np.float64)
-                rowbuf = np.empty((nlong, k), dtype=np.float64)
-            _segment_matmat(
-                self.long_cols_gather(), self.long_values,
-                self.long_rowptr, X, nlong, out=sums,
-                workspace=workspace, plan=self._long_plan(),
-                name="dcsr.long",
-            )
-            rows = self.long_rows_gather()
-            np.take(Y, rows, axis=0, out=rowbuf, mode="clip")
-            np.add(rowbuf, sums, out=rowbuf)
-            Y[rows] = rowbuf
-        return Y
+        return self.write_long_rows(X, Y, workspace)
 
     def index_nbytes(self) -> int:
         return int(

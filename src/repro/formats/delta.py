@@ -158,14 +158,16 @@ class DeltaCSR(SparseFormat):
 
         Decoding is structure-only, so it happens once; the view
         *shares* ``rowptr`` and ``values`` with this matrix (no copy),
-        so in-place value updates stay visible. The cost plane still
-        charges the decode per apply — this cache only removes the
-        redundant recomputation from the repeat-execution path.
+        so in-place value updates stay visible. Its constructor checks
+        the decoded indices before the compiled kernel uses them. The
+        cost plane still charges the decode per apply — this cache only
+        removes the redundant recomputation from the repeat-execution
+        path.
         """
         if self._decoded is None:
             self._decoded = CSRMatrix(
                 self.rowptr, self.decode_colind(), self.values,
-                self._shape, trusted=True,
+                self._shape,
             )
         return self._decoded
 

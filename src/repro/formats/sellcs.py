@@ -24,18 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_positive
-from .base import (
-    SparseFormat,
-    check_out_buffer,
-    contiguous_operand,
-    gather_index,
-)
-from .csr import (
-    CSRMatrix,
-    _SegmentPlan,
-    _segment_matmat,
-    _segment_sums_into,
-)
+from .base import SparseFormat, check_out_buffer, contiguous_operand
+from .csr import CSRMatrix
 
 __all__ = ["SellCSigmaMatrix"]
 
@@ -193,18 +183,17 @@ class SellCSigmaMatrix(SparseFormat):
         """Stored / logical elements (1.0 = no padding)."""
         return self.stored_elements / max(self._nnz, 1)
 
-    def _row_major(self):
-        """Lazily regroup the column-major chunk storage into per-slot
-        row-major segments.
+    def _row_major(self) -> CSRMatrix:
+        """Lazily regroup the column-major chunk storage into a
+        row-major CSR view over the ``nchunks * C`` padded output rows.
 
-        Returns ``(rm_colind, rm_values, rm_ptr, rm_plan)`` where
-        segment ``s`` of the ``nchunks * C`` padded output rows covers
-        ``rm_*[rm_ptr[s]:rm_ptr[s+1]]`` and ``rm_plan`` is the cached
-        :class:`~repro.formats.csr._SegmentPlan` over ``rm_ptr``. The
-        permutation sorts slots by ``(chunk, lane)`` with a stable key,
-        turning the lane-interleaved chunk layout into contiguous rows
-        that a single segmented reduction can consume — this removes
-        the per-chunk Python loop from both ``matvec`` and ``matmat``.
+        A stable sort of the slots by ``(chunk, lane)`` turns the
+        lane-interleaved chunk layout into contiguous rows, so one
+        compiled CSR kernel call replaces the per-chunk loop in both
+        ``matvec`` and ``matmat``. Padded slots (column 0, value 0.0)
+        sit after a row's real entries, so they add ``0.0 * x[0]`` to
+        an already complete sum: for finite ``x`` every row equals the
+        CSR result bitwise.
         """
         if self._rm is None:
             C = self.chunk
@@ -220,10 +209,11 @@ class SellCSigmaMatrix(SparseFormat):
             order = np.argsort(chunk_of_slot * C + lane, kind="stable")
             rm_ptr = np.zeros(self.nchunks * C + 1, dtype=np.int64)
             np.cumsum(np.repeat(self.chunk_len, C), out=rm_ptr[1:])
-            # intp colind: keeps the per-apply gather cast-free.
-            self._rm = (gather_index(self.colind[order]),
-                        self.values[order], rm_ptr,
-                        _SegmentPlan(rm_ptr))
+            # Checked, not trusted: the compiled kernel indexes with it.
+            self._rm = CSRMatrix(
+                rm_ptr, self.colind[order], self.values[order],
+                (self.nchunks * C, self.ncols),
+            )
         return self._rm
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
@@ -236,19 +226,12 @@ class SellCSigmaMatrix(SparseFormat):
         else:
             y = check_out_buffer(out, (self.nrows,), operand=x)
         x = contiguous_operand(x, workspace, "sellcs.x")
-        # padded slots have colind 0 and value 0.0: they contribute
-        # value * x[0] == 0, so no masking is needed
-        rm_colind, rm_values, rm_ptr, rm_plan = self._row_major()
-        npad = self.nchunks * self.chunk
+        rm = self._row_major()
         if workspace is not None:
-            products = workspace.buffer("sellcs.products", rm_values.size)
-            y_perm = workspace.buffer("sellcs.y_perm", npad)
+            y_perm = workspace.buffer("sellcs.y_perm", rm.nrows)
         else:
-            products = np.empty(rm_values.size, dtype=np.float64)
-            y_perm = np.empty(npad, dtype=np.float64)
-        np.take(x, rm_colind, out=products, mode="clip")
-        np.multiply(products, rm_values, out=products)
-        _segment_sums_into(products, rm_plan, y_perm, workspace, "sellcs")
+            y_perm = np.empty(rm.nrows, dtype=np.float64)
+        rm.matvec(x, out=y_perm)
         # row_perm is a full permutation: every output row is written.
         y[self.row_perm] = y_perm[: self.nrows]
         return y
@@ -256,24 +239,20 @@ class SellCSigmaMatrix(SparseFormat):
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
         """Batched apply on the row-major view: the slot permutation is
-        computed once and reused across all applies, and each gathered
-        row of ``X`` serves all ``k`` right-hand sides."""
+        computed once and reused across all applies, and each nonzero
+        updates all ``k`` right-hand sides of its row."""
         X = self._check_matmat_input(X)
         k = X.shape[1]
         if out is None:
             Y = np.empty((self.nrows, k), dtype=np.float64)
         else:
             Y = check_out_buffer(out, (self.nrows, k), operand=X)
-        rm_colind, rm_values, rm_ptr, rm_plan = self._row_major()
-        npad = self.nchunks * self.chunk
+        rm = self._row_major()
         if workspace is not None:
-            Y_perm = workspace.buffer("sellcs.Y_perm", (npad, k))
+            Y_perm = workspace.buffer("sellcs.Y_perm", (rm.nrows, k))
         else:
-            Y_perm = np.empty((npad, k), dtype=np.float64)
-        _segment_matmat(
-            rm_colind, rm_values, rm_ptr, X, npad,
-            out=Y_perm, workspace=workspace, plan=rm_plan, name="sellcs",
-        )
+            Y_perm = np.empty((rm.nrows, k), dtype=np.float64)
+        rm.matmat(X, out=Y_perm)
         Y[self.row_perm] = Y_perm[: self.nrows]
         return Y
 

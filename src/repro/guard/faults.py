@@ -111,6 +111,12 @@ _VALUES_PATH = {
 }
 
 
+#: Lazily built, structure-derived caches of the formats (compiled
+#: index pairs, CSR views, apply plans). A clone starts without them.
+_DERIVED_CACHES = ("_idx", "_comp", "_row_ids", "_rm", "_csr", "_long",
+                   "_decoded", "_plan")
+
+
 def _all_slots(cls) -> tuple[str, ...]:
     slots: list[str] = []
     for klass in cls.__mro__:
@@ -122,7 +128,7 @@ def clone_format(fmt: SparseFormat) -> SparseFormat:
     """Deep-copy a format instance without running its constructor.
 
     Arrays are copied, nested formats are cloned recursively, and
-    derived caches (SELL-C-sigma's row-major regrouping) are dropped so
+    derived caches (index pairs, CSR views, apply plans) are dropped so
     a later mutation cannot be masked by stale precomputed state.
     """
     cls = type(fmt)
@@ -131,13 +137,13 @@ def clone_format(fmt: SparseFormat) -> SparseFormat:
         if not hasattr(fmt, slot):
             continue
         value = getattr(fmt, slot)
-        if isinstance(value, np.ndarray):
+        if slot in _DERIVED_CACHES:
+            value = None
+        elif isinstance(value, np.ndarray):
             value = value.copy()
         elif isinstance(value, SparseFormat):
             value = clone_format(value)
         object.__setattr__(clone, slot, value)
-    if hasattr(clone, "_rm"):
-        object.__setattr__(clone, "_rm", None)
     return clone
 
 

@@ -14,12 +14,18 @@ Table I optimizations applied to the CSR baseline:
 :class:`ConfiguredSpMV` implements the numeric, cost and preprocessing
 planes for any such configuration, including joint application, which
 is how the optimizer combines the recipes of multiple detected classes.
+
+Every configuration computes on the same compiled CSR kernel
+(:mod:`repro.formats.compiled`): ``compress`` and ``decompose`` choose
+the CSR-family format it runs on, while ``vectorize``, ``unroll`` and
+``prefetch`` change only the cost plane. Those three flags model the
+paper's hardware effects and have no measured counterpart on the host.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,25 +129,24 @@ class PreparedData:
     delta: DeltaCSR | None = None
     decomposed: DecomposedCSR | None = None
     short_delta: DeltaCSR | None = None
-    _long_csr: CSRMatrix | None = field(default=None, repr=False)
 
     @property
     def main_csr(self) -> CSRMatrix:
         """The row structure the partition and main loop run over."""
         return self.decomposed.short if self.decomposed is not None else self.csr
 
+    @property
+    def short_part(self):
+        """The format the short rows run through (delta or plain CSR)."""
+        if self.short_delta is not None:
+            return self.short_delta
+        return self.decomposed.short
+
     def long_part_csr(self) -> CSRMatrix | None:
         """The long rows as a compact CSR (rows = long rows only)."""
-        if self.decomposed is None or self.decomposed.n_long_rows == 0:
+        if self.decomposed is None:
             return None
-        if self._long_csr is None:
-            d = self.decomposed
-            self._long_csr = CSRMatrix(
-                d.long_rowptr.copy(), d.long_colind.copy(),
-                d.long_values.copy(), (d.n_long_rows, d.ncols),
-                trusted=True,
-            )
-        return self._long_csr
+        return self.decomposed.long_part()
 
 
 class ConfiguredSpMV(Kernel):
@@ -191,29 +196,9 @@ class ConfiguredSpMV(Kernel):
               out: np.ndarray | None = None, workspace=None) -> np.ndarray:
         cfg = self.config
         if cfg.decompose:
-            d = data.decomposed
-            if data.short_delta is not None:
-                # Exercise the delta-decode path for the short part.
-                y = data.short_delta.matvec(x, out=out, workspace=workspace)
-            else:
-                y = d.short.matvec(x, out=out, workspace=workspace)
-            long_csr = data.long_part_csr()
-            if long_csr is not None:
-                xs = np.asarray(x, dtype=np.float64)
-                nlong = long_csr.nrows
-                if workspace is not None:
-                    tmp = workspace.buffer("cfg.long.y", nlong)
-                    rowbuf = workspace.buffer("cfg.long.rows", nlong)
-                else:
-                    tmp = np.empty(nlong, dtype=np.float64)
-                    rowbuf = np.empty(nlong, dtype=np.float64)
-                long_csr.matvec(xs, out=tmp, workspace=workspace)
-                # y[long_rows] += tmp without a fancy-index temporary.
-                rows = d.long_rows_gather()
-                np.take(y, rows, out=rowbuf, mode="clip")
-                np.add(rowbuf, tmp, out=rowbuf)
-                y[rows] = rowbuf
-            return y
+            # The short part may exercise the delta-decode path.
+            y = data.short_part.matvec(x, out=out, workspace=workspace)
+            return data.decomposed.write_long_rows(x, y, workspace)
         if cfg.compress:
             return data.delta.matvec(x, out=out, workspace=workspace)
         return data.csr.matvec(x, out=out, workspace=workspace)
@@ -221,34 +206,11 @@ class ConfiguredSpMV(Kernel):
     def apply_multi(self, data: PreparedData, X: np.ndarray,
                     out: np.ndarray | None = None,
                     workspace=None) -> np.ndarray:
-        """Batched apply mirroring :meth:`apply`'s format dispatch.
-
-        Delta decoding happens once per batch instead of once per
-        vector, so the compressed paths gain the most from batching.
-        """
+        """Batched apply mirroring :meth:`apply`'s format dispatch."""
         cfg = self.config
         if cfg.decompose:
-            d = data.decomposed
-            if data.short_delta is not None:
-                Y = data.short_delta.matmat(X, out=out, workspace=workspace)
-            else:
-                Y = d.short.matmat(X, out=out, workspace=workspace)
-            long_csr = data.long_part_csr()
-            if long_csr is not None:
-                nlong = long_csr.nrows
-                k = Y.shape[1]
-                if workspace is not None:
-                    tmp = workspace.buffer("cfg.long.Y", (nlong, k))
-                    rowbuf = workspace.buffer("cfg.long.Yrows", (nlong, k))
-                else:
-                    tmp = np.empty((nlong, k), dtype=np.float64)
-                    rowbuf = np.empty((nlong, k), dtype=np.float64)
-                long_csr.matmat(X, out=tmp, workspace=workspace)
-                rows = d.long_rows_gather()
-                np.take(Y, rows, axis=0, out=rowbuf, mode="clip")
-                np.add(rowbuf, tmp, out=rowbuf)
-                Y[rows] = rowbuf
-            return Y
+            Y = data.short_part.matmat(X, out=out, workspace=workspace)
+            return data.decomposed.write_long_rows(X, Y, workspace)
         if cfg.compress:
             return data.delta.matmat(X, out=out, workspace=workspace)
         return data.csr.matmat(X, out=out, workspace=workspace)

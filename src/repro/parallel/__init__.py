@@ -1,7 +1,7 @@
 """Real shared-memory parallel SpMV execution plane.
 
 Executes :class:`~repro.sched.base.Partition` objects on a persistent
-:class:`~concurrent.futures.ThreadPoolExecutor` (NumPy's heavy kernels
+:class:`~concurrent.futures.ThreadPoolExecutor` (the compiled kernels
 release the GIL), making the paper's IMB thread-imbalance analysis
 *measurable* instead of only simulated: the analytical engine predicts
 per-thread times, :class:`ParallelKernel` measures them. See

@@ -8,10 +8,10 @@ process — the same persistence argument the paper makes for OpenMP's
 thread team. Pools are keyed by worker count: a solver iterating at
 ``nthreads=4`` keeps hitting the same four warm threads.
 
-Threads (not processes) are the right substrate here because NumPy
-releases the GIL inside its heavy inner loops (gather/multiply/
-reduceat over large buffers), so row-block workers genuinely overlap;
-see docs/parallelism.md.
+Threads (not processes) are the right substrate here because the
+kernels' compiled inner loops (scipy's sparsetools CSR loops, NumPy's
+block kernels) release the GIL, so row-block workers genuinely
+overlap; see docs/parallelism.md.
 
 Pools are additionally *supervised*: a cached executor whose threads
 have all died (interpreter-level failures, a stray ``shutdown`` from

@@ -88,6 +88,21 @@ def test_clone_format_is_independent(any_format):
     np.testing.assert_array_equal(clone.matvec(x), any_format.matvec(x))
 
 
+@pytest.mark.parametrize("kind", ["index-out-of-bounds", "index-negative"])
+@pytest.mark.parametrize(
+    "any_format", ["delta-csr", "decomposed-csr", "sell-c-sigma"],
+    indirect=True,
+)
+def test_compiled_views_check_indices(any_format, kind):
+    """The compiled CSR kernels do not bounds-check. Formats that reach
+    them through a derived CSR view (delta-CSR's decoded view, the
+    decomposed long part, SELL-C-sigma's row-major view) check the
+    view's indices when they build it, so a corrupted index raises."""
+    bad = inject_structural_fault(any_format, kind)
+    with pytest.raises(ValueError, match="out of bounds"):
+        bad.matvec(np.ones(any_format.ncols))
+
+
 def test_unknown_fault_kind_rejected(small_random_csr):
     with pytest.raises(ValueError, match="unknown structural fault"):
         inject_structural_fault(small_random_csr, "no-such-fault")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.formats import CSRMatrix
+from repro.matrices.generators import power_law
 
 
 def test_rmatvec_matches_transpose(small_random_csr, rng):
@@ -14,6 +15,19 @@ def test_rmatvec_matches_transpose(small_random_csr, rng):
     np.testing.assert_allclose(
         small_random_csr.rmatvec(x), expected, rtol=1e-12, atol=1e-12
     )
+
+
+def test_rmatvec_matches_scatter_bitwise():
+    """Each column accumulates its contributions in stored (ascending
+    row) order, exactly like an ``np.add.at`` scatter over the
+    nonzeros, and equals scipy's ``S.T @ x``."""
+    A = power_law(20000, avg_deg=12, seed=3)
+    x = np.random.default_rng(5).standard_normal(A.nrows)
+    ref = np.zeros(A.ncols)
+    np.add.at(ref, A.colind, A.values * x[A.row_ids_per_nnz()])
+    got = A.rmatvec(x)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got, A.to_scipy().T @ x)
 
 
 def test_rmatvec_rectangular():

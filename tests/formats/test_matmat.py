@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-import repro.formats.csr as csrmod
-from repro.formats import CSRMatrix, available_formats, convert
+import repro.formats.bcsr as bcsrmod
+from repro.formats import BCSRMatrix, CSRMatrix, available_formats, convert
 
 RHS = 7
 
@@ -72,9 +72,10 @@ def test_matmat_zero_rhs(small_random_csr, name):
 
 def test_matmat_tiled_path(small_random_csr, small_random_scipy, X300,
                            monkeypatch):
-    """Forcing tiny tiles must not change the result (covers the
-    tile-boundary, buffer-reuse and uniform-width fast paths)."""
-    monkeypatch.setattr(csrmod, "_TILE_ELEMS", 8)
+    """Forcing tiny tiles in BCSR's batched block path must not change
+    any format's result (covers its tile-boundary and buffer-reuse
+    paths)."""
+    monkeypatch.setattr(bcsrmod, "_TILE_ELEMS", 8)
     for name in FORMATS:
         fmt = convert(small_random_csr, name)
         np.testing.assert_allclose(
@@ -84,7 +85,7 @@ def test_matmat_tiled_path(small_random_csr, small_random_scipy, X300,
 
 
 def test_matmat_uniform_rows_tiled(monkeypatch):
-    """All rows the same width exercises the reshape-sum fast path."""
+    """All rows the same width, through CSR and BCSR's tiled path."""
     rng = np.random.default_rng(0)
     nrows, width = 50, 4
     rows = np.repeat(np.arange(nrows), width)
@@ -95,9 +96,11 @@ def test_matmat_uniform_rows_tiled(monkeypatch):
     assert np.all(np.diff(csr.rowptr) == width)
     X = rng.standard_normal((30, 3))
     expected = csr.to_dense() @ X
-    np.testing.assert_allclose(csr.matmat(X), expected, rtol=1e-12)
-    monkeypatch.setattr(csrmod, "_TILE_ELEMS", 16)
-    np.testing.assert_allclose(csr.matmat(X), expected, rtol=1e-12)
+    bcsr = BCSRMatrix.from_csr(csr, block=2)
+    for fmt in (csr, bcsr):
+        np.testing.assert_allclose(fmt.matmat(X), expected, rtol=1e-12)
+    monkeypatch.setattr(bcsrmod, "_TILE_ELEMS", 16)
+    np.testing.assert_allclose(bcsr.matmat(X), expected, rtol=1e-12)
 
 
 def test_matmul_operator_dispatches_2d(small_random_csr, X300, x300):

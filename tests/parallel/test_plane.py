@@ -73,15 +73,14 @@ def test_matvec_bit_identical_every_schedule(schedule, nthreads,
 
 
 def test_matmat_matches_serial_tightly(banded_csr, rng):
-    """Multi-RHS goes through block kernels whose internal summation
-    may reassociate between chunk sizes; assert a tight tolerance
-    rather than bit-equality (matvec stays bit-identical)."""
+    """Multi-RHS is bit-identical to serial, like matvec: the compiled
+    kernel sums each row on its own, so chunking cannot reassociate."""
     X = rng.standard_normal((banded_csr.ncols, 5))
     kernel = baseline_kernel()
     serial = kernel.apply_multi(kernel.preprocess(banded_csr), X)
     pk = ParallelKernel(kernel, nthreads=4)
     got = pk.apply_multi(pk.preprocess(banded_csr), X)
-    np.testing.assert_allclose(got, serial, rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(got, serial)
 
 
 def test_out_buffer_contract(skewed_csr, rng):
@@ -173,8 +172,7 @@ def test_parallel_spmv_facade(skewed_csr, rng):
     np.testing.assert_array_equal(op.matvec(x), skewed_csr.matvec(x))
     np.testing.assert_array_equal(op @ x, skewed_csr.matvec(x))
     X = rng.standard_normal((skewed_csr.ncols, 3))
-    np.testing.assert_allclose(op.matmat(X), skewed_csr.matmat(X),
-                               rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(op.matmat(X), skewed_csr.matmat(X))
     assert op.shape == skewed_csr.shape
     assert op.nthreads <= 4
     assert op.last_measurement is not None

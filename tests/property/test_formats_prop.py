@@ -9,7 +9,9 @@ from repro.formats import (
     CSRMatrix,
     DecomposedCSR,
     DeltaCSR,
+    SellCSigmaMatrix,
 )
+from repro.matrices.generators import power_law
 
 
 @st.composite
@@ -114,3 +116,49 @@ def test_row_structure_invariants(csr):
     assert np.all(bw < csr.ncols)
     gaps = csr.column_gaps()
     assert np.all(gaps >= 0)  # canonical order -> nonnegative in-row gaps
+
+
+def _csr_family(csr, threshold):
+    """Every CSR-family format of ``csr`` (the compiled-kernel plane)."""
+    return {
+        "csr": csr,
+        "delta-csr": DeltaCSR.from_csr(csr),
+        "decomposed-csr": DecomposedCSR.from_csr(csr, threshold=threshold),
+        "sell-c-sigma": SellCSigmaMatrix.from_csr(csr, chunk=4, sigma=8),
+        "coo": csr.to_coo(),
+    }
+
+
+def _assert_equals_scipy_bitwise(csr, threshold, seed):
+    S = csr.to_scipy()
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=csr.ncols)
+    blocks = [rng.uniform(-1, 1, size=(csr.ncols, k)) for k in (1, 3, 16)]
+    ref = S @ x
+    refs = [S @ X for X in blocks]
+    for name, fmt in _csr_family(csr, threshold).items():
+        assert np.array_equal(fmt.matvec(x), ref), name
+        out = np.full(csr.nrows, np.nan)
+        assert fmt.matvec(x, out=out) is out
+        assert np.array_equal(out, ref), name
+        for X, refX in zip(blocks, refs):
+            assert np.array_equal(fmt.matmat(X), refX), (name, X.shape)
+            out = np.full(refX.shape, np.nan)
+            assert fmt.matmat(X, out=out) is out
+            assert np.array_equal(out, refX), (name, X.shape)
+
+
+@given(sparse_matrices(), st.integers(1, 50), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_csr_family_equals_scipy_bitwise(csr, threshold, seed):
+    """Every CSR-family format runs scipy's compiled kernel, so matvec
+    and matmat equal ``S @ x`` / ``S @ X`` exactly, not just closely."""
+    _assert_equals_scipy_bitwise(csr, threshold, seed)
+
+
+def test_csr_family_equals_scipy_bitwise_long_rows():
+    """The same on power-law rows: long rows (hundreds of entries) and
+    a decomposition that actually splits some off."""
+    csr = power_law(3000, avg_deg=12, seed=3)
+    assert DecomposedCSR.from_csr(csr).n_long_rows > 0
+    _assert_equals_scipy_bitwise(csr, None, seed=7)
