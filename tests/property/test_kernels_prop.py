@@ -30,7 +30,9 @@ def test_any_variant_numerically_exact(csr, config, seed):
     kernel = ConfiguredSpMV(config)
     x = np.random.default_rng(seed).uniform(-1, 1, size=csr.ncols)
     y = kernel.run_numeric(csr, x)
-    np.testing.assert_allclose(y, csr.matvec(x), rtol=1e-9, atol=1e-9)
+    # Every variant runs the compiled CSR kernel on its format, so the
+    # result matches the plain CSR one bitwise.
+    np.testing.assert_array_equal(y, csr.matvec(x))
 
 
 @given(sparse_matrices(), _configs, st.integers(1, 16),
