@@ -64,13 +64,12 @@ def matrix_fingerprint(csr) -> str:
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(
-        np.array([csr.shape[0], csr.shape[1], csr.nnz],
-                 dtype=np.int64).tobytes()
+        np.array([csr.shape[0], csr.shape[1], csr.nnz], dtype=np.int64)
     )
     for arr in (csr.rowptr, csr.colind):
         a = np.ascontiguousarray(arr)
         h.update(a.dtype.str.encode("ascii"))
-        h.update(a.tobytes())
+        h.update(a)  # hashes the buffer in place, no copy
     return h.hexdigest()
 
 
@@ -80,7 +79,7 @@ def values_digest(csr) -> str:
     h = hashlib.blake2b(digest_size=16)
     a = np.ascontiguousarray(csr.values)
     h.update(a.dtype.str.encode("ascii"))
-    h.update(a.tobytes())
+    h.update(a)
     return h.hexdigest()
 
 

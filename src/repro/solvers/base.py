@@ -10,11 +10,16 @@ Solvers also take a 2-D block of right-hand sides: ``b`` of shape
 ``(n, k)`` solves all ``k`` systems at once through the operator's
 batched ``matmat`` plane (see :func:`as_matmat`), amortizing matrix
 traffic over the whole block.
+
+The single-RHS loops reduce n-vectors through :func:`dot` and
+:func:`norm`, never through BLAS, so their results do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +35,26 @@ __all__ = [
     "into_adapter",
     "columnwise",
     "identity_preconditioner",
+    "dot",
+    "norm",
 ]
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` for two n-vectors, on one thread.
+
+    ``einsum`` with its default ``optimize=False`` runs numpy's own
+    sum-of-products loop and never calls BLAS. OpenBLAS splits a dot
+    over 10,000 elements across its threads: between SpMVs that costs
+    a thread wake-up per call, and the split changes the summation
+    order, so the result's last bits follow the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def norm(a: np.ndarray) -> float:
+    """``||a||_2`` through :func:`dot`."""
+    return math.sqrt(dot(a, a))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ matrices in the suite (circuit and graph matrices).
 The hot loop is fused like :mod:`repro.solvers.cg`: all iteration
 vectors are preallocated, the SpMVs write through the operator's
 ``out=`` plane, and the recurrences run in place with the exact
-elementwise operation sequence of the allocating formulation, so
-results are bit-identical while the steady state allocates nothing.
+elementwise operation sequence of the allocating formulation, so the
+steady state allocates nothing. The reductions run in numpy's
+one-thread loop (:func:`~.base.dot`), so results do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from .base import (
     as_matmat_into,
     as_matvec_into,
     columnwise,
+    dot,
     finite_residual,
     identity_preconditioner,
     make_report,
+    norm,
 )
 
 __all__ = ["bicgstab"]
@@ -63,7 +67,7 @@ def bicgstab(
         else np.array(x0, dtype=np.float64, copy=True)
     )
     x_init = x.copy()  # pristine fallback for breakdown recovery
-    bnorm = float(np.linalg.norm(b)) or 1.0
+    bnorm = norm(b) or 1.0
     history: list[float] = []
     # Preallocated iteration vectors; the sweep below only writes into
     # these (plus whatever a non-identity preconditioner returns).
@@ -90,7 +94,7 @@ def bicgstab(
             np.subtract(b, tmp, out=r)
         else:
             np.copyto(r, b)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = norm(r)
         history.append(rnorm)
         if not np.isfinite(rnorm):
             return x, False, 0, "non-finite-residual"
@@ -101,7 +105,7 @@ def bicgstab(
         v.fill(0.0)
         p.fill(0.0)
         for k in range(1, budget + 1):
-            rho_new = float(r_hat @ r)
+            rho_new = dot(r_hat, r)
             if not np.isfinite(rho_new):
                 return x, False, k - 1, "non-finite-residual"
             if rho_new == 0.0:
@@ -116,7 +120,7 @@ def bicgstab(
             np.add(r, p, out=p)
             phat = p if identity else M(p)
             matvec_into(phat, v)
-            denom = float(r_hat @ v)
+            denom = dot(r_hat, v)
             if not np.isfinite(denom):
                 return x, False, k - 1, "non-finite-residual"
             if denom == 0.0:
@@ -124,7 +128,7 @@ def bicgstab(
             alpha = rho / denom
             np.multiply(v, alpha, out=tmp)      # s = r - alpha * v
             np.subtract(r, tmp, out=s)
-            snorm = float(np.linalg.norm(s))
+            snorm = norm(s)
             if not np.isfinite(snorm):
                 return x, False, k - 1, "non-finite-residual"
             if snorm <= tol * bnorm:
@@ -134,19 +138,19 @@ def bicgstab(
                 return x, True, k, None
             shat = s if identity else M(s)
             matvec_into(shat, t)
-            tt = float(t @ t)
+            tt = dot(t, t)
             if not np.isfinite(tt):
                 return x, False, k - 1, "non-finite-residual"
             if tt == 0.0:
                 return x, False, k - 1, "omega-breakdown"
-            omega = float(t @ s) / tt
+            omega = dot(t, s) / tt
             np.multiply(phat, alpha, out=tmp)   # x += alpha*phat + omega*shat
             np.add(x, tmp, out=x)
             np.multiply(shat, omega, out=tmp)
             np.add(x, tmp, out=x)
             np.multiply(t, omega, out=tmp)      # r = s - omega * t
             np.subtract(s, tmp, out=r)
-            rnorm = float(np.linalg.norm(r))
+            rnorm = norm(r)
             history.append(rnorm)
             if not np.isfinite(rnorm):
                 return x, False, k, "non-finite-residual"

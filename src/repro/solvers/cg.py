@@ -7,12 +7,21 @@ The hot loop is fused: every iteration vector is preallocated outside
 the sweep, the SpMV writes through the operator's ``out=`` plane into a
 reused buffer, and the axpy updates run in place
 (``np.multiply``/``np.add(..., out=)``), so a steady-state iteration
-performs zero new array allocations. The elementwise operation
-sequence is exactly the textbook recurrence, so results are
-bit-identical to the allocating formulation.
+performs zero new array allocations. The sweep keeps four n-vectors
+(``r``, ``p``, ``Ap`` and ``x``): ``Ap`` is scaled in place for the
+residual update and then serves as scratch for the ``x`` update.
+Every element still gets the textbook recurrence's IEEE operations.
+
+The reductions run in numpy's one-thread loop (:func:`~.base.dot`),
+one ``r . r`` per iteration serving both the residual norm and, under
+the identity preconditioner, ``r . z``. Results therefore do not
+depend on the BLAS thread count, and a solve on a parallel operator
+equals the serial solve bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,9 +31,11 @@ from .base import (
     as_matmat_into,
     as_matvec_into,
     columnwise,
+    dot,
     finite_residual,
     identity_preconditioner,
     make_report,
+    norm,
 )
 
 __all__ = ["cg"]
@@ -74,14 +85,13 @@ def cg(
         else np.array(x0, dtype=np.float64, copy=True)
     )
     x_init = x.copy()  # pristine fallback for breakdown recovery
-    bnorm = float(np.linalg.norm(b)) or 1.0
+    bnorm = norm(b) or 1.0
     history: list[float] = []
     # Every iteration vector lives outside the sweep; the loop below
     # touches only these buffers.
     r = np.empty_like(b)
     p = np.empty_like(b)
     Ap = np.empty_like(b)
-    tmp = np.empty_like(b)
 
     def restore(x):
         """Reset ``x`` to the pristine start iterate (or zero)."""
@@ -99,7 +109,8 @@ def cg(
             np.subtract(b, Ap, out=r)
         else:
             np.copyto(r, b)
-        rnorm = float(np.linalg.norm(r))
+        rr = dot(r, r)
+        rnorm = math.sqrt(rr)
         history.append(rnorm)
         if not np.isfinite(rnorm):
             return x, False, 0, "non-finite-residual"
@@ -107,21 +118,22 @@ def cg(
             return x, True, 0, None
         z = r if identity else M(r)
         np.copyto(p, z)
-        rz = float(r @ z)
+        rz = rr if identity else dot(r, z)
         for k in range(1, budget + 1):
             matvec_into(p, Ap)
-            pAp = float(p @ Ap)
+            pAp = dot(p, Ap)
             if not np.isfinite(pAp):
                 return x, False, k - 1, "non-finite-residual"
             if pAp <= 0:
                 # Not SPD (or breakdown): stop with what we have.
                 return x, False, k - 1, "indefinite-operator"
             alpha = rz / pAp
-            np.multiply(p, alpha, out=tmp)      # x += alpha * p
-            np.add(x, tmp, out=x)
-            np.multiply(Ap, alpha, out=tmp)     # r -= alpha * Ap
-            np.subtract(r, tmp, out=r)
-            rnorm = float(np.linalg.norm(r))
+            np.multiply(Ap, alpha, out=Ap)      # r -= alpha * Ap
+            np.subtract(r, Ap, out=r)
+            np.multiply(p, alpha, out=Ap)       # x += alpha * p
+            np.add(x, Ap, out=x)
+            rr = dot(r, r)
+            rnorm = math.sqrt(rr)
             history.append(rnorm)
             if callback is not None:
                 callback(k, rnorm)
@@ -130,11 +142,11 @@ def cg(
             if rnorm <= tol * bnorm:
                 return x, True, k, None
             z = r if identity else M(r)
-            rz_new = float(r @ z)
+            rz_new = rr if identity else dot(r, z)
             beta = rz_new / rz
             rz = rz_new
-            np.multiply(p, beta, out=tmp)       # p = z + beta * p
-            np.add(z, tmp, out=p)
+            np.multiply(p, beta, out=p)         # p = z + beta * p
+            np.add(z, p, out=p)
         return x, False, budget, None
 
     x1, converged, used, reason = sweep(x, maxiter)
@@ -185,7 +197,6 @@ def _block_cg(A, B, X0, *, tol, maxiter, preconditioner) -> SolveResult:
     R = np.empty_like(B)
     P = np.empty_like(B)
     AP = np.empty_like(B)
-    tmp = np.empty_like(B)
     if X.any():
         matmat_into(X, AP)
         np.subtract(B, AP, out=R)
@@ -221,10 +232,10 @@ def _block_cg(A, B, X0, *, tol, maxiter, preconditioner) -> SolveResult:
         AP[:, nonfinite] = 0.0
         safe = np.where(np.isfinite(pAp) & (pAp != 0.0), pAp, 1.0)
         alpha = np.where(active, rz / safe, 0.0)
-        np.multiply(P, alpha, out=tmp)          # X += alpha * P
-        np.add(X, tmp, out=X)
-        np.multiply(AP, alpha, out=tmp)         # R -= alpha * AP
-        np.subtract(R, tmp, out=R)
+        np.multiply(AP, alpha, out=AP)          # R -= alpha * AP
+        np.subtract(R, AP, out=R)
+        np.multiply(P, alpha, out=AP)           # X += alpha * P
+        np.add(X, AP, out=X)
         rnorm = np.linalg.norm(R, axis=0)
         stray = active & ~np.isfinite(rnorm)
         if stray.any():
@@ -242,8 +253,8 @@ def _block_cg(A, B, X0, *, tol, maxiter, preconditioner) -> SolveResult:
         safe_rz = np.where(rz != 0.0, rz, 1.0)
         beta = np.where(active, rz_new / safe_rz, 0.0)
         rz = np.where(active, rz_new, rz)
-        np.multiply(P, beta, out=tmp)           # P = Z + beta * P
-        np.add(Z, tmp, out=P)
+        np.multiply(P, beta, out=P)             # P = Z + beta * P
+        np.add(Z, P, out=P)
         P[:, ~active] = 0.0
 
     final = history[-1]

@@ -12,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..memory import Workspace
-from .base import SolveResult, finite_residual, into_adapter, make_report
+from .base import (
+    SolveResult,
+    dot,
+    finite_residual,
+    into_adapter,
+    make_report,
+    norm,
+)
 
 __all__ = ["cgnr"]
 
@@ -61,7 +68,7 @@ def cgnr(
     p = np.empty(ncols)
     tmp_c = np.empty(ncols)
     rmatvec_into(b, z)
-    z0n = float(np.linalg.norm(z))
+    z0n = norm(z)
     z0 = z0n if np.isfinite(z0n) and z0n > 0.0 else 1.0
     history: list[float] = []
 
@@ -81,7 +88,7 @@ def cgnr(
         else:
             np.copyto(r, b)
         rmatvec_into(r, z)            # normal-equation residual
-        zz = float(z @ z)
+        zz = dot(z, z)
         history.append(float(np.sqrt(abs(zz))))
         if not np.isfinite(zz):
             return x, False, 0, "non-finite-residual"
@@ -90,7 +97,7 @@ def cgnr(
         np.copyto(p, z)
         for k in range(1, budget + 1):
             matvec_into(p, w)
-            ww = float(w @ w)
+            ww = dot(w, w)
             if not np.isfinite(ww):
                 return x, False, k - 1, "non-finite-residual"
             if ww == 0.0:
@@ -101,7 +108,7 @@ def cgnr(
             np.multiply(w, alpha, out=tmp_r)    # r -= alpha * w
             np.subtract(r, tmp_r, out=r)
             rmatvec_into(r, z)
-            zz_new = float(z @ z)
+            zz_new = dot(z, z)
             history.append(float(np.sqrt(abs(zz_new))))
             if not np.isfinite(zz_new):
                 return x, False, k, "non-finite-residual"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SolveResult, as_matvec
+from .base import SolveResult, as_matvec, dot, norm
 
 __all__ = ["power_iteration", "pagerank"]
 
@@ -40,20 +40,20 @@ def power_iteration(
         x = np.random.default_rng(seed).standard_normal(n)
     else:
         x = np.array(x0, dtype=np.float64, copy=True)
-    x /= np.linalg.norm(x)
+    x /= norm(x)
     lam = 0.0
     history = []
     for k in range(1, maxiter + 1):
         y = probe(x)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
+        ynorm = norm(y)
+        if ynorm == 0.0:
             return 0.0, SolveResult(
                 x=x, converged=True, iterations=k, residual_norm=0.0,
                 residual_history=np.array(history),
             )
-        v = y / norm
-        lam = float(x @ y)            # Rayleigh quotient (x is unit)
-        resid = float(np.linalg.norm(y - lam * x))
+        v = y / ynorm
+        lam = dot(x, y)  # Rayleigh quotient (x is unit)
+        resid = norm(y - lam * x)
         history.append(resid)
         x = v
         if resid <= tol * max(abs(lam), 1e-300):

@@ -3,6 +3,10 @@
 One SpMV per inner iteration, Arnoldi with modified Gram-Schmidt and
 Givens-rotation least squares — the second solver family the paper's
 amortization argument names (GMRES variants).
+
+The reductions (Arnoldi dots and norms) and the solution update run in
+numpy's one-thread loops (:func:`~.base.dot`, ``einsum``), so results
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from .base import (
     SolveResult,
     as_matvec,
     as_matvec_into,
+    dot,
     finite_residual,
     identity_preconditioner,
     make_report,
+    norm,
 )
 
 __all__ = ["gmres"]
@@ -82,7 +88,7 @@ def gmres(
         if x0 is None
         else np.array(x0, dtype=np.float64, copy=True)
     )
-    bnorm = float(np.linalg.norm(M(b))) or 1.0
+    bnorm = norm(M(b)) or 1.0
     if not np.isfinite(bnorm):
         bnorm = 1.0
     history: list[float] = []
@@ -109,7 +115,7 @@ def gmres(
         matvec_into(x, tmp)
         np.subtract(b, tmp, out=r0)
         r = r0 if identity else M(r0)
-        beta = float(np.linalg.norm(r))
+        beta = norm(r)
         if not np.isfinite(beta):
             if not np.isfinite(x).all():
                 x = x_ref.copy()
@@ -148,10 +154,10 @@ def gmres(
             w = w0 if identity else M(w0)
             # Modified Gram-Schmidt (fused: w -= H[i,k] * Q[i])
             for i in range(k + 1):
-                H[i, k] = float(w @ Q[i])
+                H[i, k] = dot(w, Q[i])
                 np.multiply(Q[i], H[i, k], out=tmp)
                 np.subtract(w, tmp, out=w)
-            H[k + 1, k] = float(np.linalg.norm(w))
+            H[k + 1, k] = norm(w)
             if not np.isfinite(H[k + 1, k]):
                 # Non-finite Arnoldi vector: discard this column and
                 # fall through to the (finite) partial update below.
@@ -179,11 +185,12 @@ def gmres(
             if rnorm <= tol * bnorm:
                 break
 
-        # Solve the small triangular system and update x.
+        # Solve the small triangular system and update x (einsum, not
+        # a BLAS gemv: one thread, same bits at any BLAS thread count).
         y = np.linalg.solve(
             H[:k_done, :k_done], g[:k_done]
         ) if k_done else np.zeros(0)
-        x = x + Q[:k_done].T @ y
+        x = x + np.einsum("ki,k->i", Q[:k_done], y)
         if np.isfinite(x).all():
             x_ref = x.copy()
         if arnoldi_broke:
@@ -194,7 +201,7 @@ def gmres(
             x = x_ref.copy()
             continue  # retry once from the last finite iterate
         if history[-1] <= tol * bnorm:
-            final = float(np.linalg.norm(M(b - matvec(x))))
+            final = norm(M(b - matvec(x)))
             return SolveResult(
                 x=x, converged=final <= tol * bnorm * 10.0,
                 iterations=total_iters, residual_norm=final,
@@ -205,7 +212,7 @@ def gmres(
 
     if not np.isfinite(x).all():
         x = x_ref
-    final = float(np.linalg.norm(M(b - matvec(x))))
+    final = norm(M(b - matvec(x)))
     if not np.isfinite(final):
         reason = reason or "non-finite-residual"
         final = finite_residual(history)
