@@ -6,8 +6,8 @@ stage traced and independently swappable. The stages
 
 1. classify the input matrix's bottlenecks (profile- or feature-guided);
 2. map the detected classes to pool optimizations (Table I), jointly;
-3. preprocess (format conversion + JIT codegen) and hand back an
-   :class:`OptimizedSpMV` that is both numerically executable
+3. charge the modeled setup (format conversion + JIT codegen) and hand
+   back an :class:`OptimizedSpMV` that is both numerically executable
    (``matvec`` / batched ``matmat``) and performance-simulatable
    (``simulate``), with its full setup-cost accounting attached.
 
@@ -15,7 +15,7 @@ The decision is frozen into an :class:`OptimizationPlan` — a
 serializable IR (``to_dict``/``from_dict``, schema-versioned) — and
 repeat matrices are served from a :class:`PlanCache`: a cheap
 structural fingerprint (shape, nnz, rowptr/colind dtype + bytes) keys
-the classification decision *and* the converted execution format, so
+the classification decision *and* the kernel's preprocessed data, so
 the Table V amortization overhead of a recurring operator drops to
 ~zero. Caches persist across processes (``PlanCache.save``/``load``):
 a warm-started optimizer serves its first request at zero decision
@@ -124,7 +124,7 @@ def _count_load_recovery() -> None:
 @dataclass
 class _CacheEntry:
     """One cached decision: the plan, the configured kernel, and (when
-    values also match) the converted execution-format data.
+    values also match) the kernel's preprocessed data.
 
     The entry also owns a :class:`~repro.memory.workspace.Workspace`
     arena so repeat service of the same matrix reuses the scratch
@@ -162,9 +162,9 @@ class PlanCache:
 
     A structural hit skips classification entirely
     (``decision_seconds`` reported as 0). When the values digest also
-    matches, the converted execution format is reused and
-    ``setup_seconds`` drops to 0 as well; with different values the
-    conversion re-runs (and stays charged) but the decision is still
+    matches, the preprocessed data is reused and ``setup_seconds``
+    drops to 0 as well; with different values ``preprocess`` re-runs
+    (its modeled conversion stays charged) but the decision is still
     free. Instances can be shared between :class:`AdaptiveSpMV`
     optimizers to pool their decisions.
 
@@ -176,8 +176,8 @@ class PlanCache:
     Caches survive processes: :meth:`save` writes every entry's plan IR
     (keys + serialized :class:`OptimizationPlan`) as JSON, and
     :meth:`load` revives them with kernels rebuilt from the plan's
-    optimization names. Revived entries carry no converted data — the
-    first ``optimize()`` re-runs (and re-charges) the conversion but
+    optimization names. Revived entries carry no preprocessed data —
+    the first ``optimize()`` re-runs (and re-charges) ``preprocess`` but
     pays zero decision cost, which is the expensive half of Table V.
     """
 
@@ -252,10 +252,10 @@ class PlanCache:
         the canonicalized body so :meth:`load` can detect silent
         on-disk corruption.
 
-        Converted execution-format data and kernel objects are not
-        serialized (they are cheap to rebuild and process-local);
-        loading restores zero-decision-cost service. Returns the number
-        of entries written.
+        Preprocessed data and kernel objects are not serialized (they
+        are cheap to rebuild and process-local); loading restores
+        zero-decision-cost service. Returns the number of entries
+        written.
         """
         with self._lock:
             entries = [
@@ -812,7 +812,7 @@ class AdaptiveSpMV:
 
         Repeat matrices are served from the plan cache: a structural
         hit skips classification (``decision_seconds == 0``), and when
-        the values digest matches too the converted data is reused
+        the values digest matches too the preprocessed data is reused
         outright (``setup_seconds == 0``) — the operator is ready at
         zero amortization overhead.
         """

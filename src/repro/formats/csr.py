@@ -360,14 +360,15 @@ class CSRMatrix(SparseFormat):
         return self.colind[lo:hi], self.values[lo:hi]
 
     def submatrix_rows(self, start: int, stop: int) -> "CSRMatrix":
-        """Extract rows ``start:stop`` as a new CSR matrix (same ncols)."""
+        """Rows ``start:stop`` as a window (same ncols) that shares this
+        matrix's ``colind`` and ``values``; only ``rowptr`` is rebased."""
         if not (0 <= start <= stop <= self.nrows):
             raise ValueError(f"invalid row range [{start}, {stop})")
         lo, hi = int(self.rowptr[start]), int(self.rowptr[stop])
         return CSRMatrix(
             self.rowptr[start : stop + 1] - lo,
-            self.colind[lo:hi].copy(),
-            self.values[lo:hi].copy(),
+            self.colind[lo:hi],
+            self.values[lo:hi],
             (stop - start, self.ncols),
             trusted=True,
         )

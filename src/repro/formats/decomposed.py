@@ -85,9 +85,7 @@ class DecomposedCSR(SparseFormat):
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         row_nnz = csr.row_nnz()
         long_rows = np.flatnonzero(row_nnz > threshold)
-        keep = np.ones(csr.nnz, dtype=bool)
-        for r in long_rows:  # few long rows by construction
-            keep[csr.rowptr[r] : csr.rowptr[r + 1]] = False
+        keep = np.repeat(row_nnz <= threshold, row_nnz)
 
         short_counts = row_nnz.copy()
         short_counts[long_rows] = 0
@@ -206,17 +204,13 @@ class DecomposedCSR(SparseFormat):
             )
         return self._long
 
-    def write_long_rows(self, x: np.ndarray, y: np.ndarray,
-                        workspace=None) -> np.ndarray:
+    def _write_long_rows(self, x: np.ndarray, y: np.ndarray,
+                         workspace=None) -> np.ndarray:
         """Write the long rows of ``A @ x`` into ``y`` after the short
-        part has filled it (``x``/``y`` a vector pair or a block pair).
-
-        The short part stores no entry of a long row (``validate()``
-        checks this), so those rows of ``y`` hold 0 and the long sums
-        are written, not added: every row ends up bitwise equal to the
-        undecomposed CSR result. The sums buffer comes from
-        ``workspace`` when one is supplied.
-        """
+        part has filled it (``x``/``y`` a vector or a block pair). The
+        short part stores no entry of a long row, so the long sums are
+        written, not added, and every row equals the undecomposed CSR
+        result bitwise."""
         long = self.long_part()
         if long is None:
             return y
@@ -241,7 +235,7 @@ class DecomposedCSR(SparseFormat):
         # make its own).
         x = contiguous_operand(x, workspace, "csr.matvec.x")
         y = self.short.matvec(x, out=out, workspace=workspace)
-        return self.write_long_rows(x, y, workspace)
+        return self._write_long_rows(x, y, workspace)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
@@ -252,7 +246,7 @@ class DecomposedCSR(SparseFormat):
             out = check_out_buffer(out, (self.nrows, X.shape[1]),
                                    operand=X)
         Y = self.short.matmat(X, out=out, workspace=workspace)
-        return self.write_long_rows(X, Y, workspace)
+        return self._write_long_rows(X, Y, workspace)
 
     def index_nbytes(self) -> int:
         return int(

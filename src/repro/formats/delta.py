@@ -236,9 +236,9 @@ class DeltaCSR(SparseFormat):
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
         # Numeric plane: run the CSR kernel on the cached decoded view.
-        # The cost plane (repro.kernels.compressed) charges the decode
-        # to compute cycles and the smaller delta array to memory
-        # traffic.
+        # The cost plane (ConfiguredSpMV.cost in repro.kernels.variants)
+        # charges the decode to compute cycles and the smaller delta
+        # array to memory traffic.
         return self._decoded_csr().matvec(x, out=out, workspace=workspace)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,

@@ -3,15 +3,15 @@
 Every SpMV kernel variant in this library exposes three planes:
 
 * **numeric**: :meth:`Kernel.apply` computes the actual ``y = A @ x``
-  with vectorized NumPy, so every transformation (delta decoding,
-  decomposition, schedule permutation) is functionally verified against
-  ``scipy.sparse`` in the test suite;
+  (CSR-family kernels on the caller's CSR, bitwise equal to
+  ``scipy.sparse``); the format tests verify every transformation
+  (delta encoding, decomposition, row permutation) against scipy;
 * **cost**: :meth:`Kernel.cost` produces the per-thread cycle/byte/
   latency terms the :class:`~repro.machine.engine.ExecutionEngine`
   turns into simulated execution times;
-* **preprocessing**: :meth:`Kernel.preprocess` performs the actual
-  format conversion, and :meth:`Kernel.preprocessing_seconds` charges
-  its simulated setup cost (format conversion passes + JIT code
+* **preprocessing**: :meth:`Kernel.preprocess` builds the ``data`` the
+  other planes read, and :meth:`Kernel.preprocessing_seconds` charges
+  the simulated setup cost (format conversion passes + JIT code
   generation), which the amortization analysis of paper Table V
   consumes.
 """
@@ -49,7 +49,7 @@ class Kernel(abc.ABC):
     # -- preprocessing plane -------------------------------------------
 
     def preprocess(self, csr: CSRMatrix):
-        """Convert ``csr`` into this kernel's execution format.
+        """Build the ``data`` this kernel's planes read from ``csr``.
 
         The returned object is what :meth:`apply` / :meth:`cost` accept
         as ``data``. The default kernel executes CSR directly.

@@ -15,17 +15,19 @@ Table I optimizations applied to the CSR baseline:
 planes for any such configuration, including joint application, which
 is how the optimizer combines the recipes of multiple detected classes.
 
-Every configuration computes on the same compiled CSR kernel
-(:mod:`repro.formats.compiled`): ``compress`` and ``decompose`` choose
-the CSR-family format it runs on, while ``vectorize``, ``unroll`` and
-``prefetch`` change only the cost plane. Those three flags model the
-paper's hardware effects and have no measured counterpart on the host.
+Every configuration executes the caller's CSR on the same compiled
+kernel (:mod:`repro.formats.compiled`), bitwise equal to ``S @ x``, so
+every flag changes only the cost plane: ``vectorize``, ``unroll`` and
+``prefetch`` model the paper's hardware effects, while ``compress``
+and ``decompose`` price the delta-CSR and decomposed formats, which
+:class:`PreparedData` builds on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -123,24 +125,43 @@ class SpMVConfig:
 
 @dataclass
 class PreparedData:
-    """Execution-format bundle produced by :meth:`ConfiguredSpMV.preprocess`."""
+    """The caller's CSR and config, from :meth:`ConfiguredSpMV.preprocess`.
+
+    Every configuration executes ``csr`` itself. The formats the cost
+    plane prices are built on first read: ``decomposed`` with
+    ``decompose``, ``delta`` with ``compress`` alone, ``short_delta``
+    (the short part encoded) with both. Each reads ``None`` otherwise.
+    """
 
     csr: CSRMatrix
-    delta: DeltaCSR | None = None
-    decomposed: DecomposedCSR | None = None
-    short_delta: DeltaCSR | None = None
+    config: SpMVConfig
+
+    @cached_property
+    def decomposed(self) -> DecomposedCSR | None:
+        if not self.config.decompose:
+            return None
+        return DecomposedCSR.from_csr(
+            self.csr, threshold=self.config.decompose_threshold
+        )
+
+    @cached_property
+    def delta(self) -> DeltaCSR | None:
+        cfg = self.config
+        if not cfg.compress or cfg.decompose:
+            return None
+        return DeltaCSR.from_csr(self.csr, width=cfg.delta_width)
+
+    @cached_property
+    def short_delta(self) -> DeltaCSR | None:
+        cfg = self.config
+        if not (cfg.compress and cfg.decompose):
+            return None
+        return DeltaCSR.from_csr(self.decomposed.short, width=cfg.delta_width)
 
     @property
     def main_csr(self) -> CSRMatrix:
-        """The row structure the partition and main loop run over."""
+        """The row structure the cost plane partitions and prices."""
         return self.decomposed.short if self.decomposed is not None else self.csr
-
-    @property
-    def short_part(self):
-        """The format the short rows run through (delta or plain CSR)."""
-        if self.short_delta is not None:
-            return self.short_delta
-        return self.decomposed.short
 
     def long_part_csr(self) -> CSRMatrix | None:
         """The long rows as a compact CSR (rows = long rows only)."""
@@ -165,19 +186,7 @@ class ConfiguredSpMV(Kernel):
     # -- preprocessing ---------------------------------------------------
 
     def preprocess(self, csr: CSRMatrix) -> PreparedData:
-        cfg = self.config
-        data = PreparedData(csr=csr)
-        if cfg.decompose:
-            data.decomposed = DecomposedCSR.from_csr(
-                csr, threshold=cfg.decompose_threshold
-            )
-            if cfg.compress:
-                data.short_delta = DeltaCSR.from_csr(
-                    data.decomposed.short, width=cfg.delta_width
-                )
-        elif cfg.compress:
-            data.delta = DeltaCSR.from_csr(csr, width=cfg.delta_width)
-        return data
+        return PreparedData(csr, self.config)
 
     def preprocessing_seconds(self, csr: CSRMatrix, machine: MachineSpec) -> float:
         cfg = self.config
@@ -194,25 +203,11 @@ class ConfiguredSpMV(Kernel):
 
     def apply(self, data: PreparedData, x: np.ndarray,
               out: np.ndarray | None = None, workspace=None) -> np.ndarray:
-        cfg = self.config
-        if cfg.decompose:
-            # The short part may exercise the delta-decode path.
-            y = data.short_part.matvec(x, out=out, workspace=workspace)
-            return data.decomposed.write_long_rows(x, y, workspace)
-        if cfg.compress:
-            return data.delta.matvec(x, out=out, workspace=workspace)
         return data.csr.matvec(x, out=out, workspace=workspace)
 
     def apply_multi(self, data: PreparedData, X: np.ndarray,
                     out: np.ndarray | None = None,
                     workspace=None) -> np.ndarray:
-        """Batched apply mirroring :meth:`apply`'s format dispatch."""
-        cfg = self.config
-        if cfg.decompose:
-            Y = data.short_part.matmat(X, out=out, workspace=workspace)
-            return data.decomposed.write_long_rows(X, Y, workspace)
-        if cfg.compress:
-            return data.delta.matmat(X, out=out, workspace=workspace)
         return data.csr.matmat(X, out=out, workspace=workspace)
 
     # -- scheduling -----------------------------------------------------------

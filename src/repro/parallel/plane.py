@@ -1,10 +1,10 @@
 """Real shared-memory parallel SpMV execution.
 
 This module executes :class:`~repro.sched.base.Partition` objects for
-real: each contiguous row range of the partition becomes a chunk whose
-rows are preprocessed once (``csr.submatrix_rows`` + the wrapped
-kernel's own ``preprocess``) and applied by a pool worker that writes a
-*disjoint* slice of the shared output vector. Static kinds pin chunks
+real: each contiguous row range of the partition becomes a chunk, a
+zero-copy row window (``csr.submatrix_rows``) preprocessed once by the
+wrapped kernel and applied by a pool worker that writes a *disjoint*
+slice of the shared output vector. Static kinds pin chunks
 to their owning thread; ``kind == "dynamic"`` partitions are executed
 through a shared chunk queue, so the thread that runs a chunk is decided
 at execution time — exactly like an OpenMP ``schedule(dynamic)`` loop.
@@ -13,8 +13,8 @@ Numerics are bit-identical to the serial kernels by construction: every
 chunk is a contiguous row range, a row's sum is computed by exactly one
 chunk from that row's own nonzeros in their stored order, and each
 result lands in its own ``out`` slice — no cross-thread reduction ever
-happens (long rows are still handled *inside* a chunk by whatever
-kernel variant is wrapped, e.g. decomposed CSR).
+happens (a long row stays whole inside one chunk; the decomposed
+format's cooperative long-row split is only priced, not executed).
 
 Two measured clocks are recorded per worker:
 

@@ -3,7 +3,7 @@
 A :class:`PipelineContext` carries the inputs of a run (matrix, target
 machine, classifier, pool, guard flag) and accumulates each stage's
 products (features, classes, selected optimizations, configured kernel,
-converted data, modeled costs). Stages communicate exclusively through
+preprocessed data, modeled costs). Stages communicate exclusively through
 the context — no stage holds private state — which is what makes them
 independently swappable and traceable.
 """

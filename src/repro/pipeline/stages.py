@@ -13,8 +13,8 @@ analyze      extract structural features of the matrix
 classify     detect bottleneck classes (+ modeled decision cost)
 select       map classes to pool optimizations, configure the kernel,
              substitute quarantined variants, apply the guard wrapper
-transform    charge the modeled setup cost; materialize the execution
-             format when the run asks for it
+transform    charge the modeled setup cost; build the kernel's data
+             bundle when the run asks for it
 execute      simulate one kernel execution on the target machine
 ==========  ========================================================
 
@@ -139,7 +139,7 @@ class SelectStage:
 
 
 class TransformStage:
-    """Preprocess: charge the modeled setup cost, convert when asked."""
+    """Charge the modeled setup cost; build the kernel's data when asked."""
 
     name = "transform"
 

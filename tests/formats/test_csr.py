@@ -75,8 +75,10 @@ def test_row_slice(empty_row_csr):
 def test_submatrix_rows(small_random_csr, x300):
     sub = small_random_csr.submatrix_rows(50, 150)
     assert sub.shape == (100, 300)
+    assert np.shares_memory(sub.colind, small_random_csr.colind)
+    assert np.shares_memory(sub.values, small_random_csr.values)
     full = small_random_csr.matvec(x300)
-    np.testing.assert_allclose(sub.matvec(x300), full[50:150], rtol=1e-12)
+    np.testing.assert_array_equal(sub.matvec(x300), full[50:150])
 
 
 def test_submatrix_rows_bad_range(small_random_csr):

@@ -23,6 +23,25 @@ def test_short_part_has_long_rows_emptied(skewed_csr):
     assert d.short.nnz + d.long_nnz == skewed_csr.nnz
 
 
+def test_parts_are_the_row_slices(skewed_csr):
+    """Each part holds exactly the stored entries of its rows, in row
+    order."""
+    d = DecomposedCSR.from_csr(skewed_csr, threshold=50)
+    long = np.isin(np.arange(skewed_csr.nrows), d.long_rows)
+    row_nnz = skewed_csr.row_nnz()
+    for part, rows in ((d.short, np.flatnonzero(~long)),
+                       (d.long_part(), d.long_rows)):
+        slices = [skewed_csr.row_slice(r) for r in rows]
+        np.testing.assert_array_equal(
+            part.colind, np.concatenate([c for c, _ in slices]))
+        np.testing.assert_array_equal(
+            part.values, np.concatenate([v for _, v in slices]))
+    np.testing.assert_array_equal(d.short.row_nnz(),
+                                  np.where(long, 0, row_nnz))
+    np.testing.assert_array_equal(d.long_part().row_nnz(),
+                                  row_nnz[d.long_rows])
+
+
 def test_matvec_matches_csr(skewed_csr, rng):
     d = DecomposedCSR.from_csr(skewed_csr, threshold=50)
     x = rng.standard_normal(skewed_csr.ncols)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.formats import DecomposedCSR, DeltaCSR
 from repro.kernels import ConfiguredSpMV, SpMVConfig, baseline_kernel
 from repro.machine import ExecutionEngine, KNC
 
@@ -92,6 +93,32 @@ def test_preprocess_builds_right_formats(small_random_csr):
     )
     data = k.preprocess(small_random_csr)
     assert data.decomposed is not None and data.short_delta is not None
+
+
+@pytest.mark.parametrize("compress,decompose",
+                         list(itertools.product((False, True), repeat=2)))
+def test_apply_runs_callers_csr_without_converting(compress, decompose,
+                                                   skewed_csr, rng,
+                                                   monkeypatch):
+    """Every configuration executes the caller's CSR: preprocess and
+    both applies succeed with the format conversions disabled, and
+    equal scipy bitwise, even where the threshold splits rows."""
+    assert DecomposedCSR.from_csr(skewed_csr, threshold=50).n_long_rows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("format conversion on the execution path")
+
+    monkeypatch.setattr(DeltaCSR, "from_csr", refuse)
+    monkeypatch.setattr(DecomposedCSR, "from_csr", refuse)
+    kernel = ConfiguredSpMV(SpMVConfig(compress=compress,
+                                       decompose=decompose,
+                                       decompose_threshold=50))
+    data = kernel.preprocess(skewed_csr)
+    S = skewed_csr.to_scipy()
+    x = rng.standard_normal(skewed_csr.ncols)
+    X = rng.standard_normal((skewed_csr.ncols, 3))
+    np.testing.assert_array_equal(kernel.apply(data, x), S @ x)
+    np.testing.assert_array_equal(kernel.apply_multi(data, X), S @ X)
 
 
 def test_preprocessing_seconds_ordering(small_random_csr):

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from repro.engine import ExecutorSpec, GuardedKernel, build_executor
-from repro.kernels import baseline_kernel, merged_pool_kernel
+from repro.kernels import (
+    ConfiguredSpMV,
+    SpMVConfig,
+    baseline_kernel,
+    merged_pool_kernel,
+)
 from repro.kernels.bcsr import BCSRSpMV
 from repro.kernels.sellcs import SellCSigmaSpMV
 from repro.parallel import (
@@ -119,6 +124,25 @@ def test_guard_composes_both_orders(skewed_csr, rng):
     np.testing.assert_array_equal(
         inner.apply(inner.preprocess(skewed_csr), x), serial
     )
+
+
+@pytest.mark.parametrize("kernel", [
+    baseline_kernel(),
+    ConfiguredSpMV(SpMVConfig(compress=True, decompose=True,
+                              decompose_threshold=50)),
+    GuardedKernel(baseline_kernel()),
+], ids=["csr", "csr+delta+split", "guard"])
+def test_chunks_share_callers_arrays(kernel, skewed_csr):
+    """Chunks are row windows of the caller's CSR: no chunk copies
+    ``colind`` or ``values``."""
+    data = ParallelKernel(kernel, nthreads=4).preprocess(skewed_csr)
+    assert len(data.chunks) == 4
+    for chunk in data.chunks:
+        inner = getattr(chunk.data, "inner", chunk.data)
+        for window in (chunk.data.csr, inner.csr):
+            assert window.nnz > 0
+            assert np.shares_memory(window.colind, skewed_csr.colind)
+            assert np.shares_memory(window.values, skewed_csr.values)
 
 
 def test_worker_exception_propagates(skewed_csr):
