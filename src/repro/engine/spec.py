@@ -25,10 +25,9 @@ excludes the ``guard`` and ``trace`` axes. Guarding re-wraps a cached
 kernel on lookup (guarded and unguarded optimizers *share* plan
 entries — see ``AdaptiveSpMV._lookup``) and tracing is pure
 observability; neither changes what was planned. The parallel,
-supervision and workspace axes do partition the cache. For a spec
-without supervision/workspace the signature degenerates to the exact
-pre-engine strings (``"serial"`` / ``ParallelConfig.signature()``), so
-plan caches saved by earlier builds still warm-start bit-identically.
+supervision and workspace axes do partition the cache: the signature
+is ``"serial"`` or ``ParallelConfig.signature()``, followed by the
+supervision and workspace settings when they are set.
 """
 
 from __future__ import annotations
@@ -140,8 +139,7 @@ class ExecutorSpec:
 
     def cache_signature(self) -> str:
         """Plan-cache key component (see the module docstring for why
-        ``guard``/``trace`` are excluded and why the default collapses
-        to the legacy ``"serial"`` string)."""
+        ``guard``/``trace`` are excluded)."""
         base = (
             self.parallel.signature() if self.parallel is not None
             else "serial"

@@ -33,7 +33,6 @@ from .signature import (
     mapping_signature,
     matrix_fingerprint,
     read_checksummed,
-    values_digest,
     write_checksummed,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "profiling_seconds",
     "prediction_error_pct",
     "matrix_fingerprint",
-    "values_digest",
     "canonical_body",
     "body_checksum",
     "mapping_signature",

@@ -173,17 +173,9 @@ class AnalyticModel:
     # -- identity ------------------------------------------------------
 
     def signature(self) -> str:
-        """Full content signature, recorded on plan IR (v3+)."""
+        """Full content signature, recorded on plan IR (v3+) and in
+        plan-cache keys."""
         return self.kind
-
-    def cache_signature(self) -> str:
-        """Plan-cache key contribution.
-
-        Empty: the analytic model is the behavior every pre-model build
-        baked in, so adding nothing keeps persisted caches from those
-        builds warm-starting byte-for-byte.
-        """
-        return ""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t = "default" if self.nthreads is None else self.nthreads

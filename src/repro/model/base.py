@@ -12,10 +12,10 @@ protocol exposes
   decomposition pulled out;
 * :meth:`CostModel.bounds` — the paper's per-class upper bounds
   (:class:`PerformanceBounds`, Section III-B);
-* :meth:`CostModel.cache_signature` — the model's contribution to
-  plan-cache keys (empty for the analytic model, so pre-model caches
-  keep warm-starting; the profile digest for a calibrated model, so
-  recalibration invalidates stale plans).
+* :meth:`CostModel.signature` — the model's content signature,
+  recorded on plan IR and folded into plan-cache keys (the profile
+  digest for a calibrated model, so recalibration invalidates stale
+  plans).
 
 Two implementations exist: :class:`~repro.model.analytic.AnalyticModel`
 (the pure simulator, absorbing the previously scattered estimators) and
@@ -150,11 +150,7 @@ class CostModel(Protocol):
         ...  # pragma: no cover - protocol
 
     def signature(self) -> str:
-        """Full content signature (recorded on plan IR)."""
-        ...  # pragma: no cover - protocol
-
-    def cache_signature(self) -> str:
-        """Plan-cache key contribution ("" keeps legacy keys intact)."""
+        """Full content signature (plan IR and plan-cache keys)."""
         ...  # pragma: no cover - protocol
 
 

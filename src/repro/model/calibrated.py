@@ -147,13 +147,10 @@ class CalibratedModel(AnalyticModel):
     # -- identity ------------------------------------------------------
 
     def signature(self) -> str:
-        return f"calibrated:{self.profile.signature()}"
-
-    def cache_signature(self) -> str:
-        """Non-empty: plans decided under this calibration are keyed by
-        the profile digest, so recalibration (or :meth:`refine`)
+        """Plans decided under this calibration are keyed by the
+        profile digest, so recalibration (or :meth:`refine`)
         invalidates them."""
-        return f"model={self.signature()}"
+        return f"calibrated:{self.profile.signature()}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t = "default" if self.nthreads is None else self.nthreads

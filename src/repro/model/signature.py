@@ -1,14 +1,16 @@
 """Canonical content-hash and checksummed-envelope helpers.
 
-Every content-addressed artifact in the repo — plan-cache keys, persisted
-plan files, machine profiles — hashes through this module, so there is
-exactly one definition of "same content" across processes and builds.
-Before the :mod:`repro.model` subsystem existed, ``matrix_fingerprint``
-lived in ``core/optimizer.py`` and ``OptimizationPool.content_signature``
-carried its own string format in ``core/pool.py``; both now delegate
-here. The algorithms are **pinned** (see ``tests/model/test_signature.py``):
-changing any of them silently invalidates every persisted cache, so a
-digest change must be a deliberate schema bump.
+Every persisted content-addressed artifact in the repo — plan-cache
+files and their keys, machine profiles — hashes through this module, so
+there is exactly one definition of "same content" across processes and
+builds. ``OptimizationPool.content_signature`` delegates here too. The
+in-memory plan cache does not: its keys hash a few sampled indices and
+compare the index arrays exactly (``repro.core.optimizer``), and it
+computes :func:`matrix_fingerprint` only when it saves a key or matches
+a key loaded from disk. The algorithms are **pinned** (see
+``tests/model/test_signature.py``): changing any of them silently
+invalidates every persisted cache, so a digest change must be a
+deliberate schema bump.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "canonical_body",
     "body_checksum",
     "matrix_fingerprint",
-    "values_digest",
     "mapping_signature",
     "write_checksummed",
     "read_checksummed",
@@ -58,9 +59,8 @@ def matrix_fingerprint(csr) -> str:
     with its dtype string (``arr.dtype.str``, which encodes width *and*
     endianness), so an int32 and an int64 array with coincidentally
     equal bytes cannot alias and fingerprints are stable enough to key
-    on-disk plans. Values are digested separately (see
-    :func:`values_digest`) so a matrix whose coefficients changed but
-    whose structure did not can still reuse its plan.
+    on-disk plans. Values are not hashed, so a matrix whose
+    coefficients changed but whose structure did not reuses its plan.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(
@@ -70,16 +70,6 @@ def matrix_fingerprint(csr) -> str:
         a = np.ascontiguousarray(arr)
         h.update(a.dtype.str.encode("ascii"))
         h.update(a)  # hashes the buffer in place, no copy
-    return h.hexdigest()
-
-
-def values_digest(csr) -> str:
-    """Digest of the numeric values array (dtype-aware), separate from
-    the structural fingerprint so value updates keep the plan."""
-    h = hashlib.blake2b(digest_size=16)
-    a = np.ascontiguousarray(csr.values)
-    h.update(a.dtype.str.encode("ascii"))
-    h.update(a)
     return h.hexdigest()
 
 

@@ -118,8 +118,15 @@ def test_suggest_deadline_floor_and_scaling(csr):
 def test_signatures():
     model = AnalyticModel(KNL)
     assert model.signature() == "analytic"
-    # Empty on purpose: pre-model plan caches must keep warm-starting.
-    assert model.cache_signature() == ""
+    # The plan-cache key names the model; an explicit analytic model
+    # shares the default optimizer's key.
+    from repro.core import AdaptiveSpMV
+
+    default = AdaptiveSpMV(KNL, classifier="profile")
+    explicit = AdaptiveSpMV(KNL, classifier="profile", model=model)
+    assert (explicit._execution_signature()
+            == default._execution_signature())
+    assert "model=analytic" in default._execution_signature()
 
 
 def test_bounds_ordering(csr):

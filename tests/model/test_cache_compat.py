@@ -1,13 +1,13 @@
-"""Plan-cache key compatibility across the cost-model refactor.
+"""Plan-cache keys name the cost model a plan was decided under.
 
-Two invariants:
+Three invariants:
 
-* an :class:`~repro.model.AnalyticModel` (the default) contributes
-  NOTHING to cache keys — persisted caches from pre-model builds
-  warm-start byte-for-byte;
+* an explicit :class:`~repro.model.AnalyticModel` shares the default
+  optimizer's key;
 * a :class:`~repro.model.CalibratedModel` folds its profile digest in,
-  so recalibration (or :meth:`~repro.model.CalibratedModel.refine`)
-  invalidates plans tuned against the stale profile.
+  so analytic and calibrated plans never share an entry;
+* recalibration (or :meth:`~repro.model.CalibratedModel.refine`) moves
+  the key, invalidating plans tuned against the stale profile.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.core import (
     OptimizationPlan,
     PlanCache,
 )
+from repro.core.optimizer import _StructureKey
 from repro.machine import BROADWELL, KNL
 from repro.matrices.generators import banded
 from repro.model import AnalyticModel, CalibratedModel, MachineProfile
@@ -28,33 +29,30 @@ def csr():
     return banded(1500, nnz_per_row=7, seed=11)
 
 
-def test_analytic_execution_signature_is_legacy_exact():
-    """The exact pre-model string — persisted keys embed it."""
+def test_analytic_execution_signature_is_pinned():
+    """The exact string — persisted keys embed it."""
     opt = AdaptiveSpMV(KNL, classifier="profile")
-    assert opt._execution_signature() == "nthreads=default;serial"
+    assert (opt._execution_signature()
+            == "nthreads=default;serial;model=analytic")
     opt4 = AdaptiveSpMV(KNL, classifier="profile", nthreads=4)
-    assert opt4._execution_signature() == "nthreads=4;serial"
+    assert opt4._execution_signature() == "nthreads=4;serial;model=analytic"
 
 
 def test_explicit_analytic_model_same_key(csr):
     default = AdaptiveSpMV(KNL, classifier="profile")
     explicit = AdaptiveSpMV(KNL, classifier="profile",
                             model=AnalyticModel(KNL))
-    from repro.model import matrix_fingerprint
-
-    fp = matrix_fingerprint(csr)
-    assert default._cache_key(fp) == explicit._cache_key(fp)
+    structure = _StructureKey.of(csr)
+    assert default._cache_key(structure) == explicit._cache_key(structure)
 
 
 def test_calibrated_model_changes_key(csr):
-    from repro.model import matrix_fingerprint
-
     profile = MachineProfile(machine_name=KNL.name,
                              kernel_scales={"csr": 2.0})
     analytic = AdaptiveSpMV(KNL, classifier="profile")
     calibrated = AdaptiveSpMV(KNL, classifier="profile",
                               model=CalibratedModel(KNL, profile))
-    fp = matrix_fingerprint(csr)
+    fp = _StructureKey.of(csr)
     key_a = analytic._cache_key(fp)
     key_c = calibrated._cache_key(fp)
     assert key_a != key_c

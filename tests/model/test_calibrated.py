@@ -145,17 +145,28 @@ class TestObserveRefine:
         assert error_after < 1e-6 < error_before
 
     def test_refine_changes_signatures(self):
+        from repro.core import AdaptiveSpMV
+
         model = CalibratedModel(KNL, MachineProfile.identity(KNL.name))
+        opt = AdaptiveSpMV(KNL, classifier="profile", model=model)
         sig_before = model.signature()
-        key_before = model.cache_signature()
+        key_before = opt._execution_signature()
         model.observe("csr", 1.0, 2.0)
         model.refine()
         assert model.signature() != sig_before
-        assert model.cache_signature() != key_before
+        assert opt._execution_signature() != key_before
 
 
 def test_signature_format():
+    from repro.core import AdaptiveSpMV
+
     model = CalibratedModel(KNL, MachineProfile.identity(KNL.name))
     sig = model.signature()
     assert sig == f"calibrated:{model.profile.signature()}"
-    assert model.cache_signature() == f"model={sig}"
+    # the plan-cache key names the model, so analytic and calibrated
+    # plans never share an entry
+    calibrated = AdaptiveSpMV(KNL, classifier="profile", model=model)
+    analytic = AdaptiveSpMV(KNL, classifier="profile")
+    assert calibrated._execution_signature().endswith(f";model={sig}")
+    assert (calibrated._execution_signature()
+            != analytic._execution_signature())

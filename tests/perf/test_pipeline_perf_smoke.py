@@ -3,13 +3,17 @@
 Runs the instrumented :class:`~repro.pipeline.runner.PipelineRunner`
 over two generator matrices and asserts the plan-cache warm start
 eliminates the modeled optimizer overhead entirely — the property the
-persisted-cache feature exists for. Kept tiny so
+persisted-cache feature exists for — and that a plan-cache lookup
+hashes no matrix content with blake2b. Kept tiny so
 ``python -m pytest -m perf_smoke -q`` is a sub-second gate.
 """
+
+import types
 
 import pytest
 
 from repro.core import AdaptiveSpMV, PlanCache
+from repro.formats import CSRMatrix
 from repro.machine import KNL
 from repro.matrices.generators import banded, random_uniform
 from repro.pipeline import PipelineRunner
@@ -58,3 +62,28 @@ def test_persisted_warm_start_overhead_is_zero(tmp_path):
     assert op.plan.cache_hit
     assert op.plan.decision_seconds == 0.0
     assert result.gflops > 0.0
+
+
+@pytest.mark.perf_smoke
+def test_optimize_path_never_runs_blake2b(monkeypatch):
+    """With blake2b broken, a miss, 50 repeat hits and a new-values hit
+    on a live entry all succeed: lookups hash sampled indices only."""
+    from repro.model import signature
+
+    def broken(*args, **kwargs):
+        raise AssertionError("blake2b ran on the optimize path")
+
+    monkeypatch.setattr(signature, "hashlib",
+                        types.SimpleNamespace(blake2b=broken))
+    csr = MATRICES[1][1]()
+    opt = AdaptiveSpMV(KNL, classifier="profile")
+    assert not opt.optimize(csr).plan.cache_hit
+    for _ in range(50):
+        op = opt.optimize(csr)
+        assert op.plan.cache_hit
+        assert op.plan.total_overhead_seconds == 0.0
+    rescaled = CSRMatrix(csr.rowptr, csr.colind, 2.0 * csr.values,
+                         csr.shape)
+    op = opt.optimize(rescaled)
+    assert op.plan.cache_hit and op.plan.decision_seconds == 0.0
+    assert op.data.csr is rescaled

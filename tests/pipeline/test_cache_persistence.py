@@ -148,17 +148,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_legacy_plan_cache_degrades_to_empty():
-    """A schema-v2 cache file whose entries carry pre-engine v1 plans
-    (no ``executor_spec``) is unusable: lenient load degrades it to an
-    empty cache with a warning, strict load raises."""
+    """A schema-v2 cache file (blake2b-keyed, here also carrying
+    pre-engine v1 plans) is unusable: lenient load degrades it to an
+    empty cache with a warning, strict load raises. Plan-schema-1
+    rejection inside a current file is covered by
+    ``test_legacy_plan_cache_replans_cold``."""
     from repro.errors import PlanCacheWarning
 
     path = FIXTURES / "plan_cache_v2_legacy_plans.json"
     with pytest.warns(PlanCacheWarning):
         cache = PlanCache.load(path)
     assert len(cache) == 0
-    assert "unsupported plan schema 1" in cache.load_recovery_reason
-    with pytest.raises(ValueError, match="unsupported plan schema"):
+    assert "unsupported plan-cache schema 2" in cache.load_recovery_reason
+    with pytest.raises(ValueError, match="unsupported plan-cache schema 2"):
         PlanCache.load(path, strict=True)
 
 
