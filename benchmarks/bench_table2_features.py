@@ -35,4 +35,4 @@ def test_table2_extraction_scaling(benchmark):
 def test_feature_extraction_throughput(benchmark):
     """Raw throughput of one full Table II extraction pass."""
     csr = named_matrix("web-Google", scale=0.5)
-    benchmark(extract_features, csr)
+    benchmark(lambda: extract_features(csr).as_array())

@@ -51,7 +51,7 @@ def extraction_scaling(
     for n in sizes:
         csr = random_uniform(n, nnz_per_row=nnz_per_row, seed=7)
         best = runner.time_seconds(
-            lambda: extract_features(csr), repeats=repeats,
+            lambda: extract_features(csr).as_array(), repeats=repeats,
             reduce="min", label=f"extract:{n}",
         )
         times.append(best)

@@ -346,6 +346,22 @@ class CSRMatrix(SparseFormat):
         gaps[starts] = 0
         return gaps
 
+    def row_flag_counts(self, flags: np.ndarray) -> np.ndarray:
+        """Number of set ``flags`` (one bool per nonzero) in every row.
+
+        The counts are exact integers: the per-row sums run in int32
+        (int64 past 2**31 nonzeros), so no float copy of the nnz-sized
+        flags is made. Returned as float64; empty rows count 0.
+        """
+        out = np.zeros(self.nrows, dtype=np.float64)
+        nonempty = np.flatnonzero(self.row_nnz())
+        if nonempty.size:
+            dtype = np.int32 if flags.size < 2**31 else np.int64
+            out[nonempty] = np.add.reduceat(
+                flags, self.rowptr[nonempty], dtype=dtype
+            )
+        return out
+
     def row_ids_per_nnz(self) -> np.ndarray:
         """Row index of every stored nonzero (inverse of rowptr, cached)."""
         if self._row_ids is None:

@@ -84,35 +84,64 @@ def _compute_stats(csr: CSRMatrix, line_elems: int) -> XAccessStats:
         zero = np.zeros(csr.nrows, dtype=np.float64)
         return XAccessStats(zero, zero.copy(), 0)
 
-    gaps = csr.column_gaps()
-    row_start = np.zeros(csr.nnz, dtype=bool)
-    starts = csr.rowptr[:-1]
-    starts = starts[starts < csr.nnz]
-    row_start[starts] = True
+    may_miss, strided = _miss_flags(csr, line_elems)
+    return XAccessStats(
+        csr.row_flag_counts(may_miss),
+        csr.row_flag_counts(strided),
+        _distinct_lines(csr.colind, csr.ncols, line_elems),
+    )
 
+
+def _miss_flags(csr: CSRMatrix,
+                line_elems: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-nonzero (may miss, hardware-prefetchable) flags of the
+    row-major x stream."""
+    colind = csr.colind
+    # Column distance to the predecessor, in the index dtype: the
+    # difference of two int32 column indices always fits in int32.
+    gaps = np.empty(colind.size, dtype=colind.dtype)
+    np.subtract(colind[1:], colind[:-1], out=gaps[1:])
     # A row's first access continues the stream of the previous row's
     # first access: in banded matrices consecutive rows start on nearly
-    # the same column, so the line is already resident. Replace the
-    # row-start gap (0 by construction) with the inter-row start
-    # distance so the same miss criterion applies to it.
-    first_cols = csr.colind[starts].astype(np.int64)
-    inter_row = np.abs(np.diff(first_cols, prepend=first_cols[:1] - 10**9))
-    gaps = gaps.copy()
-    gaps[starts] = inter_row
+    # the same column, so the line is already resident. The row-start
+    # gap is the inter-row start distance, so the same miss criterion
+    # applies to it.
+    starts = csr.rowptr[:-1]
+    starts = starts[starts < colind.size]
+    first_cols = colind[starts].astype(np.int64)
+    gaps[starts] = np.abs(np.diff(first_cols, prepend=first_cols[:1] - 10**9))
 
     may_miss = gaps > line_elems
-    strided = may_miss & (gaps <= _PREFETCHABLE_LINES * line_elems)
+    strided = gaps <= _PREFETCHABLE_LINES * line_elems
+    strided &= may_miss
+    return may_miss, strided
 
-    potential = _row_sums(may_miss.astype(np.float64), csr.rowptr)
-    strided_pot = _row_sums(strided.astype(np.float64), csr.rowptr)
-    unique_lines = int(
-        np.unique(csr.colind.astype(np.int64) // line_elems).size
-    )
-    return XAccessStats(potential, strided_pot, unique_lines)
+
+def _distinct_lines(cols: np.ndarray, ncols: int, line_elems: int) -> int:
+    """Distinct ``line_elems``-wide lines of x that ``cols`` touches.
+
+    Marks a bool table of ``ncols // line_elems + 1`` lines while that
+    table is no larger than an int64 copy of ``cols`` (8 bytes each); a
+    hypersparse shape beyond that counts with ``np.unique`` over the
+    line ids instead.
+    """
+    lines = cols // line_elems
+    nlines = ncols // line_elems + 1
+    if nlines > 8 * cols.size:
+        return int(np.unique(lines).size)
+    touched = np.zeros(nlines, dtype=bool)
+    touched[lines] = True
+    return int(np.count_nonzero(touched))
 
 
 def x_access_stats(csr: CSRMatrix, line_elems: int = 8) -> XAccessStats:
-    """Memoized access-pattern statistics for ``csr``."""
+    """Memoized access-pattern statistics for ``csr``, one pass per
+    matrix object and line width.
+
+    The pass keeps its nnz-sized temporaries small: int32 column gaps,
+    exact integer per-row counts, and a touched-line table for the
+    distinct x lines (``np.unique`` only for hypersparse shapes).
+    """
     per_matrix = _STATS_CACHE.setdefault(csr, {})
     if line_elems not in per_matrix:
         per_matrix[line_elems] = _compute_stats(csr, line_elems)
@@ -204,8 +233,7 @@ def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
     potential = float(np.count_nonzero(may_miss))
     strided_n = float(np.count_nonzero(strided))
 
-    unique_lines = int(np.unique(cols // line).size)
-    x_ws = unique_lines * machine.line_bytes
+    x_ws = _distinct_lines(cols, ncols, line) * machine.line_bytes
     local_cap = _X_CACHE_SHARE * machine.l2_bytes_per_core
     llc_cap = _X_CACHE_SHARE * machine.llc_bytes
     local = min(1.0, local_cap / max(x_ws, 1))
@@ -225,14 +253,3 @@ def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
     )
     dram_bytes = potential * (1.0 - llc) * machine.line_bytes
     return {"latency_ns": float(latency_ns), "dram_bytes": float(dram_bytes)}
-
-
-def _row_sums(per_nnz: np.ndarray, rowptr: np.ndarray) -> np.ndarray:
-    out = np.zeros(rowptr.size - 1, dtype=np.float64)
-    if per_nnz.size == 0:
-        return out
-    lengths = np.diff(rowptr)
-    nonempty = np.flatnonzero(lengths > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(per_nnz, rowptr[nonempty])
-    return out

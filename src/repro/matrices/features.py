@@ -8,6 +8,24 @@ Features are grouped by extraction complexity exactly as in the paper:
 * ``O(NNZ)``: ``clustering_avg`` and ``misses_avg``, which need a pass
   over the column indices.
 
+A selector should pay only for the features it reads, so extraction is
+lazy. :func:`extract_features` is O(1): it returns a
+:class:`FeatureVector` bound to the matrix, and each group of features
+is computed on the first read of any feature in it, then kept. The
+groups follow the complexity classes, with the O(N) class split by the
+arrays it reads:
+
+* O(1): ``size``, ``density``;
+* row lengths (``rowptr`` only): ``nnz_*``;
+* row spans (the first and last column of every row): ``bw_*``,
+  ``scatter_*``;
+* column gaps (every column index): ``clustering_avg``, ``misses_avg``.
+
+The default planner's IMB sub-selection reads ``nnz_max`` and
+``nnz_avg`` (one ``np.diff`` of ``rowptr``), and a classifier over the
+paper's O(N) subset never scans the column indices. A group reads the
+matrix when it is computed; CSR structure is immutable by contract.
+
 The feature-guided classifier of the paper consumes subsets of these;
 Table IV reports one ``O(N)`` and one ``O(NNZ)`` subset. The paper's
 ``dispersion`` features (Table IV) are the ``scatter`` statistics of
@@ -21,8 +39,6 @@ for a fully dense run and is defined everywhere. Empty rows contribute
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,6 +113,9 @@ PAPER_ONNZ_SUBSET = (
     "misses_avg", "scatter_sd",
 )
 
+#: Default last-level-cache capacity for the ``size`` feature.
+_LLC_BYTES = 32 * 1024 * 1024
+
 _ALIASES = {"dispersion_avg": "scatter_avg", "dispersion_sd": "scatter_sd"}
 
 
@@ -108,9 +127,21 @@ def canonical_feature_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
+def spmv_working_set_bytes(csr: CSRMatrix) -> int:
+    """Bytes touched by one CSR SpMV: matrix + x + y."""
+    return csr.total_nbytes() + 8 * (csr.ncols + csr.nrows)
+
+
 class FeatureVector:
-    """All Table II features of one matrix, keyed access included."""
+    """The Table II features of one matrix, each group computed on the
+    first read of any feature in it.
+
+    Holds the matrix, ``llc_bytes`` (capacity for the binary ``size``
+    feature) and ``line_elems`` (float64 elements per cache line, for
+    the naive ``misses`` estimate). Reading any feature computes its
+    whole group (see the module docstring) and keeps the values as
+    plain attributes; the other groups stay uncomputed.
+    """
 
     size: float
     density: float
@@ -127,6 +158,22 @@ class FeatureVector:
     clustering_avg: float
     misses_avg: float
 
+    def __init__(self, csr: CSRMatrix, *, llc_bytes: int = _LLC_BYTES,
+                 line_elems: int = 8):
+        self.csr = csr
+        self.llc_bytes = llc_bytes
+        self.line_elems = line_elems
+
+    def __getattr__(self, name: str) -> float:
+        # Reached only for names not set yet: an unread feature.
+        group = _GROUP_OF.get(name)
+        if group is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.__dict__.update(group(self))
+        return self.__dict__[name]
+
     def __getitem__(self, name: str) -> float:
         return float(getattr(self, canonical_feature_name(name)))
 
@@ -137,19 +184,94 @@ class FeatureVector:
     def as_dict(self) -> dict[str, float]:
         return {n: self[n] for n in FEATURE_NAMES}
 
+    # -- the four groups ----------------------------------------------
 
-def spmv_working_set_bytes(csr: CSRMatrix) -> int:
-    """Bytes touched by one CSR SpMV: matrix + x + y."""
-    return csr.total_nbytes() + 8 * (csr.ncols + csr.nrows)
+    def _constant(self) -> dict[str, float]:
+        csr = self.csr
+        return {
+            "size": (
+                1.0 if spmv_working_set_bytes(csr) <= self.llc_bytes
+                else 0.0
+            ),
+            "density": float(csr.nnz / float(csr.nrows) / float(csr.ncols)),
+        }
+
+    def _row_lengths(self) -> dict[str, float]:
+        return _summary("nnz", self.csr.row_nnz().astype(np.float64))
+
+    def _row_spans(self) -> dict[str, float]:
+        csr = self.csr
+        nnz = csr.row_nnz().astype(np.float64)
+        bw = csr.row_bandwidths().astype(np.float64)
+        scatter = np.where(nnz > 0, nnz / (bw + 1.0), 0.0)
+        return {
+            **_summary("bw", bw),
+            "scatter_avg": _mean(scatter),
+            "scatter_sd": _sd(scatter),
+        }
+
+    def _column_gaps(self) -> dict[str, float]:
+        csr = self.csr
+        nnz = csr.row_nnz().astype(np.float64)
+        gaps = csr.column_gaps()
+        # A "group" starts wherever the gap to the in-row predecessor is
+        # not exactly 1 (the first element of a row has gap 0, starting
+        # a group).
+        ngroups = csr.row_flag_counts(gaps != 1)
+        clustering = np.where(nnz > 0, ngroups / np.maximum(nnz, 1.0), 0.0)
+        # Naive per-row miss estimate (paper): an element "can generate a
+        # cache miss" when its distance from the in-row predecessor
+        # exceeds the elements per cache line. Row-first elements are not
+        # counted.
+        misses = csr.row_flag_counts(gaps > self.line_elems)
+        return {"clustering_avg": _mean(clustering),
+                "misses_avg": _mean(misses)}
+
+
+_GROUP_OF = {
+    name: group
+    for names, group in (
+        (("size", "density"), FeatureVector._constant),
+        (("nnz_min", "nnz_max", "nnz_avg", "nnz_sd"),
+         FeatureVector._row_lengths),
+        (("bw_min", "bw_max", "bw_avg", "bw_sd", "scatter_avg",
+          "scatter_sd"), FeatureVector._row_spans),
+        (("clustering_avg", "misses_avg"), FeatureVector._column_gaps),
+    )
+    for name in names
+}
+
+
+def _mean(x: np.ndarray) -> float:
+    return float(x.mean()) if x.size else 0.0
+
+
+def _sd(x: np.ndarray) -> float:
+    # Population standard deviation, as written in Table II.
+    return float(np.sqrt(np.mean((x - x.mean()) ** 2))) if x.size else 0.0
+
+
+def _summary(prefix: str, x: np.ndarray) -> dict[str, float]:
+    """``{prefix}_min/max/avg/sd`` of one per-row statistic."""
+    return {
+        f"{prefix}_min": float(x.min(initial=0.0)),
+        f"{prefix}_max": float(x.max(initial=0.0)),
+        f"{prefix}_avg": _mean(x),
+        f"{prefix}_sd": _sd(x),
+    }
 
 
 def extract_features(
     csr: CSRMatrix,
     *,
-    llc_bytes: int = 32 * 1024 * 1024,
+    llc_bytes: int = _LLC_BYTES,
     line_elems: int = 8,
 ) -> FeatureVector:
-    """Extract the full Table II feature vector of ``csr``.
+    """The Table II feature vector of ``csr``, computed on first read.
+
+    O(1) to call: nothing is computed until a feature is read, and then
+    only that feature's group (O(1), row lengths, row spans or column
+    gaps), once.
 
     Parameters
     ----------
@@ -159,49 +281,7 @@ def extract_features(
         Number of float64 elements per cache line (64-byte line -> 8),
         used by the naive ``misses`` estimate.
     """
-    n = csr.nrows
-    nnz = csr.row_nnz().astype(np.float64)
-    bw = csr.row_bandwidths().astype(np.float64)
-
-    size = 1.0 if spmv_working_set_bytes(csr) <= llc_bytes else 0.0
-    density = csr.nnz / float(csr.nrows) / float(csr.ncols)
-
-    scatter = np.where(nnz > 0, nnz / (bw + 1.0), 0.0)
-
-    gaps = csr.column_gaps()
-    # Per-nonzero indicators, folded back to rows with segment sums.
-    # A "group" starts wherever the gap to the in-row predecessor is not
-    # exactly 1 (the first element of a row has gap 0, starting a group).
-    new_group = (gaps != 1).astype(np.float64)
-    ngroups = _row_sums(new_group, csr.rowptr)
-    clustering = np.where(nnz > 0, ngroups / np.maximum(nnz, 1.0), 0.0)
-
-    # Naive per-row miss estimate (paper): an element "can generate a
-    # cache miss" when its distance from the in-row predecessor exceeds
-    # the elements per cache line. Row-first elements are not counted.
-    miss_flag = (gaps > line_elems).astype(np.float64)
-    misses = _row_sums(miss_flag, csr.rowptr)
-
-    def _sd(x: np.ndarray) -> float:
-        # Population standard deviation, as written in Table II.
-        return float(np.sqrt(np.mean((x - x.mean()) ** 2))) if x.size else 0.0
-
-    return FeatureVector(
-        size=size,
-        density=float(density),
-        nnz_min=float(nnz.min(initial=0.0)) if n else 0.0,
-        nnz_max=float(nnz.max(initial=0.0)) if n else 0.0,
-        nnz_avg=float(nnz.mean()) if n else 0.0,
-        nnz_sd=_sd(nnz),
-        bw_min=float(bw.min(initial=0.0)) if n else 0.0,
-        bw_max=float(bw.max(initial=0.0)) if n else 0.0,
-        bw_avg=float(bw.mean()) if n else 0.0,
-        bw_sd=_sd(bw),
-        scatter_avg=float(scatter.mean()) if n else 0.0,
-        scatter_sd=_sd(scatter),
-        clustering_avg=float(clustering.mean()) if n else 0.0,
-        misses_avg=float(misses.mean()) if n else 0.0,
-    )
+    return FeatureVector(csr, llc_bytes=llc_bytes, line_elems=line_elems)
 
 
 def feature_matrix(
@@ -227,15 +307,3 @@ def features_with_complexity(max_complexity: str) -> tuple[str, ...]:
     return tuple(
         f for f in FEATURE_NAMES if order[FEATURE_COMPLEXITY[f]] <= cap
     )
-
-
-def _row_sums(per_nnz: np.ndarray, rowptr: np.ndarray) -> np.ndarray:
-    """Sum a per-nonzero quantity within each row."""
-    out = np.zeros(rowptr.size - 1, dtype=np.float64)
-    if per_nnz.size == 0:
-        return out
-    lengths = np.diff(rowptr)
-    nonempty = np.flatnonzero(lengths > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(per_nnz, rowptr[nonempty])
-    return out

@@ -116,8 +116,12 @@ class AnalyticModel:
             raise ValueError("cannot analyze an empty matrix")
         flops = 2.0 * csr.nnz
 
+        # All three runs balance the same rows at the same thread
+        # count, so they share the baseline's balanced-nnz partition.
         base = baseline_kernel()
-        r_csr = self.run(base, base.preprocess(csr))
+        data = base.preprocess(csr)
+        partition = base.partition(data, self.engine().nthreads)
+        r_csr = self.run(base, data, partition)
 
         # Analytic bounds: compulsory traffic at peak sustainable
         # bandwidth.
@@ -129,8 +133,8 @@ class AnalyticModel:
 
         # Operational bounds: modified micro-kernels through the same
         # model (so a calibrated model scales them consistently).
-        r_ml = self.run(RegularizedColindSpMV(), csr)
-        r_cmp = self.run(UnitStrideSpMV(), csr)
+        r_ml = self.run(RegularizedColindSpMV(), csr, partition)
+        r_cmp = self.run(UnitStrideSpMV(), csr, partition)
 
         # Imbalance bound: median thread busy time of the baseline run,
         # plus the same launch overhead every run pays.

@@ -9,10 +9,13 @@ autotuners):
 ==========  ========================================================
 stage        responsibility
 ==========  ========================================================
-analyze      extract structural features of the matrix
+analyze      bind the lazy Table II feature vector (O(1): a feature
+             group is computed when a later stage first reads it)
 classify     detect bottleneck classes (+ modeled decision cost)
-select       map classes to pool optimizations, configure the kernel,
-             substitute quarantined variants, apply the guard wrapper
+select       map classes to pool optimizations (reading the features
+             a mapping entry needs, by default the row lengths for
+             IMB), configure the kernel, substitute quarantined
+             variants, apply the guard wrapper
 transform    charge the modeled setup cost; build the kernel's data
              bundle when the run asks for it
 execute      simulate one kernel execution on the target machine
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from ..kernels import baseline_kernel, is_quarantined
+from ..kernels import baseline_kernel, is_quarantined, merged_pool_kernel
 from ..kernels.registry import kernel_failure_count
 from ..matrices.features import extract_features
 from ..model import AnalyticModel, prediction_error_pct
@@ -60,7 +63,12 @@ class Stage(Protocol):
 
 
 class AnalyzeStage:
-    """Extract the structural features every later stage decides from."""
+    """Bind the structural features later stages decide from.
+
+    O(1): :func:`~repro.matrices.features.extract_features` computes a
+    feature group on its first read, so a plan pays only for the
+    features its classifier and pool actually read.
+    """
 
     name = "analyze"
 
@@ -99,6 +107,8 @@ class ClassifyStage:
 class SelectStage:
     """Map classes to pool optimizations and configure the kernel.
 
+    The pool selects once; the kernel is built from those names.
+
     Quarantined variants are substituted by the baseline (recorded both
     in the plan and the span), and the guard wrapper is applied here so
     downstream stages see the kernel exactly as it will run.
@@ -109,7 +119,7 @@ class SelectStage:
     def run(self, ctx: PipelineContext, span: Span) -> None:
         ctx.optimizations = ctx.pool.select(ctx.classes, ctx.features)
         kernel = (
-            ctx.pool.kernel_for(ctx.classes, ctx.features)
+            merged_pool_kernel(ctx.optimizations)
             if ctx.optimizations
             else baseline_kernel()
         )

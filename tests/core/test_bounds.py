@@ -75,3 +75,27 @@ def test_profiling_seconds_accounting(banded_csr):
 def test_bounds_str(banded_csr):
     text = str(measure_bounds(banded_csr, KNC))
     assert "P_CSR" in text and "knc" in text
+
+
+def test_bounds_build_one_partition(monkeypatch, skewed_csr):
+    """The baseline, P_ML and P_CMP runs share one balanced-nnz
+    partition, and each bound equals its run on its own partition."""
+    from repro.kernels import RegularizedColindSpMV, UnitStrideSpMV
+    from repro.model import AnalyticModel
+    from repro.sched import policies
+
+    model = AnalyticModel(KNL)
+    p_ml = model.run(RegularizedColindSpMV(), skewed_csr).gflops
+    p_cmp = model.run(UnitStrideSpMV(), skewed_csr).gflops
+    built = []
+    balanced_nnz = policies.SCHEDULE_POLICIES["balanced-nnz"]
+
+    def counting(csr, nthreads):
+        built.append(nthreads)
+        return balanced_nnz(csr, nthreads)
+
+    monkeypatch.setitem(policies.SCHEDULE_POLICIES, "balanced-nnz",
+                        counting)
+    b = model.bounds(skewed_csr)
+    assert built == [KNL.total_threads]
+    assert (b.p_ml, b.p_cmp) == (p_ml, p_cmp)

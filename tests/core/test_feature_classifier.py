@@ -101,3 +101,21 @@ def test_dispersion_alias_accepted():
         KNC, feature_names=("dispersion_avg", "nnz_max")
     )
     assert "scatter_avg" in clf.feature_names
+
+
+def test_on_subset_classifier_never_scans_column_indices(monkeypatch,
+                                                         small_corpus):
+    """Over the paper's O(N) subset (Table IV) the classifier reads row
+    lengths and row spans only: no column-gap pass."""
+    from repro.formats import CSRMatrix
+    from repro.matrices import PAPER_ON_SUBSET
+
+    clf = FeatureGuidedClassifier(KNC, feature_names=PAPER_ON_SUBSET)
+    clf.fit_from_matrices(small_corpus)
+    expected = [clf.classify_with_cost(m) for m in small_corpus[:4]]
+
+    def broken(self):
+        raise AssertionError("O(N) features scanned the column indices")
+
+    monkeypatch.setattr(CSRMatrix, "column_gaps", broken)
+    assert [clf.classify_with_cost(m) for m in small_corpus[:4]] == expected

@@ -136,3 +136,42 @@ def test_empty_matrix_features():
     csr = CSRMatrix([0, 0], np.zeros(0, np.int32), np.zeros(0), (1, 4))
     f = extract_features(csr)
     assert f.nnz_avg == 0.0 and f.misses_avg == 0.0
+
+
+def _broken(self):
+    raise AssertionError("this feature group must not be computed")
+
+
+def test_row_length_features_read_only_rowptr(monkeypatch, skewed_csr):
+    """The IMB sub-selection reads nnz_max and nnz_avg: one np.diff of
+    rowptr, no row spans, no column gaps."""
+    expected = skewed_csr.row_nnz()
+    monkeypatch.setattr(CSRMatrix, "row_bandwidths", _broken)
+    monkeypatch.setattr(CSRMatrix, "column_gaps", _broken)
+    f = extract_features(skewed_csr)
+    assert f.nnz_max == float(expected.max())
+    assert f["nnz_avg"] == float(expected.mean())
+
+
+def test_column_gap_group_is_computed_once_on_first_read(monkeypatch,
+                                                         scattered_csr):
+    calls = []
+    column_gaps = CSRMatrix.column_gaps
+
+    def counting(self):
+        calls.append(self)
+        return column_gaps(self)
+
+    monkeypatch.setattr(CSRMatrix, "column_gaps", counting)
+    f = extract_features(scattered_csr)
+    assert calls == []
+    clustering = f.clustering_avg
+    misses = f.misses_avg
+    assert f["misses_avg"] == misses and f.clustering_avg == clustering
+    assert len(calls) == 1
+
+
+def test_feature_groups_cover_every_feature():
+    from repro.matrices.features import _GROUP_OF
+
+    assert set(_GROUP_OF) == set(FEATURE_NAMES)

@@ -3,8 +3,9 @@
 Runs the instrumented :class:`~repro.pipeline.runner.PipelineRunner`
 over two generator matrices and asserts the plan-cache warm start
 eliminates the modeled optimizer overhead entirely — the property the
-persisted-cache feature exists for — and that a plan-cache lookup
-hashes no matrix content with blake2b. Kept tiny so
+persisted-cache feature exists for — that a plan-cache lookup hashes
+no matrix content with blake2b, and that a miss computes no row spans,
+column gaps or ``np.unique`` it does not read. Kept tiny so
 ``python -m pytest -m perf_smoke -q`` is a sub-second gate.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from repro.core import AdaptiveSpMV, PlanCache
 from repro.formats import CSRMatrix
 from repro.machine import KNL
-from repro.matrices.generators import banded, random_uniform
+from repro.matrices.generators import banded, power_law, random_uniform
 from repro.pipeline import PipelineRunner
 
 MATRICES = (
@@ -87,3 +88,30 @@ def test_optimize_path_never_runs_blake2b(monkeypatch):
     op = opt.optimize(rescaled)
     assert op.plan.cache_hit and op.plan.decision_seconds == 0.0
     assert op.data.csr is rescaled
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("make", [
+    lambda: banded(3000, nnz_per_row=9, jitter=1.0, seed=21),
+    lambda: power_law(3000, avg_deg=12, seed=22),
+], ids=["banded", "power_law"])
+def test_optimize_miss_computes_only_what_it_reads(monkeypatch, make):
+    """A plan-cache miss reads the row lengths and runs the lean
+    x-access pass: no row spans, no column gaps, no ``np.unique``."""
+    import numpy as np
+
+    from repro.machine import clear_cache
+
+    csr = make()
+    expected = AdaptiveSpMV(KNL).optimize(csr).plan
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a plan-cache miss computed an unread value")
+
+    clear_cache()
+    monkeypatch.setattr(CSRMatrix, "column_gaps", broken)
+    monkeypatch.setattr(CSRMatrix, "row_bandwidths", broken)
+    monkeypatch.setattr(np, "unique", broken)
+    op = AdaptiveSpMV(KNL).optimize(csr)
+    assert not op.plan.cache_hit
+    assert op.plan.to_dict() == expected.to_dict()

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveSpMV
+from repro.formats import CSRMatrix
 from repro.guard import clear_quarantine
 from repro.kernels import baseline_kernel
 from repro.kernels.registry import record_kernel_failure
-from repro.machine import KNL
+from repro.machine import KNL, clear_cache
+from repro.matrices.generators import banded, power_law
 from repro.pipeline import (
     PipelineContext,
     Stage,
@@ -157,3 +159,28 @@ def test_guarded_fault_shows_up_in_trace(small_random_csr, rng,
     (select,) = tracer.find("select")
     assert select.attributes["quarantine_substitutions"] == [name]
     assert select.attributes["guard_fault_counts"][name] == 1
+
+
+@pytest.mark.parametrize("make,imb", [
+    (lambda: banded(2000, nnz_per_row=9, jitter=1.0, seed=1), False),
+    (lambda: power_law(2000, avg_deg=12, seed=1), True),
+], ids=["banded", "power_law"])
+def test_plan_reads_neither_row_spans_nor_column_gaps(monkeypatch, make,
+                                                      imb):
+    """A plan computes only what it reads: the profile classifier's
+    bounds run the x-access pass, and the IMB sub-selection reads the
+    row lengths; no stage needs the row spans or the column gaps."""
+    csr = make()
+    expected = AdaptiveSpMV(KNL, plan_cache=False).plan(csr)
+    assert ("IMB" in {c.value for c in expected.classes}) is imb
+    if imb:
+        assert expected.kernel_name == "csr+vec+unroll+split"
+
+    def broken(self):
+        raise AssertionError("planning read an unused feature group")
+
+    clear_cache()
+    monkeypatch.setattr(CSRMatrix, "row_bandwidths", broken)
+    monkeypatch.setattr(CSRMatrix, "column_gaps", broken)
+    plan = AdaptiveSpMV(KNL, plan_cache=False).plan(csr)
+    assert plan.to_dict() == expected.to_dict()
