@@ -17,15 +17,14 @@ Run with::
 import sys
 
 from repro import (
+    AnalyticModel,
     baseline_kernel,
     extract_features,
     get_platform,
-    measure_bounds,
     named_matrix,
 )
 from repro.core import classify_from_bounds, format_classes
 from repro.kernels import single_optimization_kernels
-from repro.machine import ExecutionEngine
 
 TOUR = (
     ("MB", "consph",
@@ -41,14 +40,14 @@ TOUR = (
 
 def main() -> None:
     platform = get_platform(sys.argv[1] if len(sys.argv) > 1 else "knc")
-    engine = ExecutionEngine(platform)
+    model = AnalyticModel(platform)
     base = baseline_kernel()
     singles = single_optimization_kernels()
 
     for expected_class, name, story in TOUR:
         A = named_matrix(name, scale=0.6)
         f = extract_features(A, llc_bytes=platform.llc_bytes)
-        bounds = measure_bounds(A, platform)
+        bounds = model.bounds(A)
         classes = classify_from_bounds(bounds)
 
         print(f"\n=== {expected_class} archetype: {name} ===")
@@ -64,10 +63,10 @@ def main() -> None:
         print(f"bounds:   {line}")
         print(f"classes:  {format_classes(classes)}")
 
-        r0 = engine.run(base, base.preprocess(A))
+        r0 = model.run(base, base.preprocess(A))
         print("single optimizations vs baseline:")
         for opt_name, kernel in singles.items():
-            r = engine.run(kernel, kernel.preprocess(A))
+            r = model.run(kernel, kernel.preprocess(A))
             ratio = r.gflops / r0.gflops
             marker = "+" if ratio > 1.02 else ("-" if ratio < 0.98 else " ")
             print(f"  {marker} {opt_name:14s} {ratio:5.2f}x")

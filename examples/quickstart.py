@@ -20,14 +20,13 @@ import numpy as np
 
 from repro import (
     AdaptiveSpMV,
+    AnalyticModel,
     baseline_kernel,
     get_platform,
-    measure_bounds,
     named_matrix,
     run_mkl_csr,
 )
 from repro.core import classify_from_bounds, format_classes
-from repro.machine import ExecutionEngine
 from repro.matrices import matrix_stats
 
 
@@ -42,7 +41,8 @@ def main() -> None:
     print(matrix_stats(A).describe())
 
     # 3. Bound-and-bottleneck analysis (paper Section III-B).
-    bounds = measure_bounds(A, platform)
+    model = AnalyticModel(platform)
+    bounds = model.bounds(A)
     print("\nper-class performance bounds (Gflop/s):")
     for key, value in bounds.as_dict().items():
         print(f"  {key:7s} {value:9.2f}")
@@ -60,9 +60,8 @@ def main() -> None:
     print(f"numeric check: max |y_opt - y_csr| = {error:.2e}")
 
     # 5b. Simulated performance vs baseline CSR and the MKL analogue.
-    engine = ExecutionEngine(platform)
     base = baseline_kernel()
-    r_base = engine.run(base, base.preprocess(A))
+    r_base = model.run(base, base.preprocess(A))
     r_mkl = run_mkl_csr(A, platform)
     r_opt = operator.simulate()
     print(f"\nbaseline CSR : {r_base.gflops:8.2f} Gflop/s")

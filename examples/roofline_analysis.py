@@ -14,18 +14,13 @@ Run with::
 
 import sys
 
-from repro import baseline_kernel, get_platform, load_suite
-from repro.machine import (
-    ExecutionEngine,
-    peak_gflops,
-    ridge_point,
-    roofline_point,
-)
+from repro import AnalyticModel, baseline_kernel, get_platform, load_suite
+from repro.machine import peak_gflops, ridge_point, roofline_point
 
 
 def main() -> None:
     platform = get_platform(sys.argv[1] if len(sys.argv) > 1 else "knc")
-    engine = ExecutionEngine(platform)
+    model = AnalyticModel(platform)
     base = baseline_kernel()
 
     print(f"=== Roofline on {platform.name} ===")
@@ -39,7 +34,7 @@ def main() -> None:
     print("-" * 64)
     for spec, csr in load_suite(scale=0.5):
         data = base.preprocess(csr)
-        result = engine.run(base, data)
+        result = model.run(base, data)
         ws = csr.total_nbytes() + 8 * (csr.nrows + csr.ncols)
         point = roofline_point(result, platform, ws_bytes=ws)
         print(

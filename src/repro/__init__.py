@@ -44,7 +44,6 @@ from .core import (
     classify_from_bounds,
     format_classes,
     matrix_fingerprint,
-    measure_bounds,
     oracle_search,
     tune_profile_thresholds,
 )
@@ -54,7 +53,6 @@ from .machine import (
     BROADWELL,
     KNC,
     KNL,
-    ExecutionEngine,
     MachineSpec,
     PLATFORMS,
     RunResult,
@@ -85,11 +83,7 @@ from .guard import (
     quarantined_kernel_names,
     validate_format,
 )
-from .parallel import (
-    ParallelConfig,
-    ParallelKernel,
-    ParallelMeasurement,
-)
+from .parallel import ParallelConfig, ParallelMeasurement
 from .pipeline import PipelineContext, PipelineRunner, Tracer
 from .engine import (
     Executor,
@@ -116,7 +110,6 @@ __all__ = [
     "BROADWELL",
     "PLATFORMS",
     "get_platform",
-    "ExecutionEngine",
     "RunResult",
     # matrices
     "named_matrix",
@@ -142,7 +135,6 @@ __all__ = [
     "Bottleneck",
     "format_classes",
     "PerformanceBounds",
-    "measure_bounds",
     "classify_from_bounds",
     "ProfileThresholds",
     "ProfileGuidedClassifier",
@@ -158,7 +150,6 @@ __all__ = [
     "amortization_study",
     # parallel
     "ParallelConfig",
-    "ParallelKernel",
     "ParallelMeasurement",
     # pipeline
     "Tracer",

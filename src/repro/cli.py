@@ -26,7 +26,6 @@ from .core import (
     PlanCache,
     classify_from_bounds,
     format_classes,
-    measure_bounds,
 )
 from .machine import PLATFORMS, get_platform
 from .matrices import (
@@ -335,11 +334,13 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .model import AnalyticModel
+
     machine = get_platform(args.platform)
     csr = _load_matrix(args.matrix, args.scale)
     print(matrix_stats(csr).describe())
     print()
-    bounds = measure_bounds(csr, machine)
+    bounds = AnalyticModel(machine).bounds(csr)
     print(f"bounds on {machine.codename} (Gflop/s):")
     for k, v in bounds.as_dict().items():
         print(f"  {k:7s} {v:10.2f}")

@@ -1,8 +1,8 @@
 """The paper's primary contribution (system S6): bottleneck-classifying
 adaptive SpMV optimization."""
 
+from ..model import PerformanceBounds, profiling_seconds
 from .amortization import AmortizationCase, AmortizationSummary, amortization_study
-from .bounds import PerformanceBounds, measure_bounds, profiling_seconds
 from .classes import (
     ALL_CLASSES,
     EMPTY_CLASSES,
@@ -48,7 +48,6 @@ __all__ = [
     "labels_to_classes",
     "format_classes",
     "PerformanceBounds",
-    "measure_bounds",
     "profiling_seconds",
     "ProfileThresholds",
     "ProfileGuidedClassifier",

@@ -23,9 +23,8 @@ import numpy as np
 
 from ..formats import CSRMatrix
 from ..machine import MachineSpec
-from ..model import AnalyticModel
+from ..model import AnalyticModel, PerformanceBounds
 from ..matrices.features import extract_features
-from .bounds import PerformanceBounds, measure_bounds
 from .pool import OptimizationPool
 from .profile_classifier import ProfileThresholds, classify_from_bounds
 
@@ -73,9 +72,7 @@ def tune_profile_thresholds(
     pool = pool or OptimizationPool()
     model = AnalyticModel(machine, nthreads)
 
-    bounds: list[PerformanceBounds] = [
-        measure_bounds(m, machine, nthreads) for m in matrices
-    ]
+    bounds: list[PerformanceBounds] = [model.bounds(m) for m in matrices]
     features = [
         extract_features(m, llc_bytes=machine.llc_bytes,
                          line_elems=machine.line_elems)

@@ -29,9 +29,8 @@ import numpy as np
 from ..formats import CSRMatrix
 from ..kernels import RegularizedColindSpMV, baseline_kernel
 from ..machine import MachineSpec
-from ..model import AnalyticModel
+from ..model import PROFILING_ITERATIONS, AnalyticModel
 from ..sched import balanced_nnz
-from .bounds import PROFILING_ITERATIONS
 from .classes import Bottleneck, ClassSet
 from .profile_classifier import ProfileGuidedClassifier, ProfileThresholds
 

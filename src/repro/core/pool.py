@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..formats import CSRMatrix
-from ..kernels import ConfiguredSpMV, merged_pool_kernel
 from ..matrices.features import FeatureVector, extract_features
 from .classes import Bottleneck, ClassSet
 
@@ -143,15 +142,6 @@ class OptimizationPool:
                 entry = entry(features)
             names.append(entry)
         return tuple(names)
-
-    def kernel_for(self, classes: ClassSet,
-                   features: FeatureVector | None = None,
-                   csr: CSRMatrix | None = None) -> ConfiguredSpMV:
-        """The jointly-configured kernel for the detected classes.
-
-        An empty class set returns the baseline (not worth optimizing).
-        """
-        return merged_pool_kernel(self.select(classes, features, csr))
 
 
 DEFAULT_POOL = OptimizationPool()

@@ -8,8 +8,8 @@ kernels. Each execution mode has exactly one executor class:
 * :class:`KernelExecutor` — run one preprocessed kernel serially (the
   engine's leaf; what ``OptimizedSpMV.matvec`` executes through);
 * :class:`ParallelExecutor` — run the kernel's partition on the
-  shared-memory thread pool (:class:`~repro.parallel.plane.
-  ParallelKernel`), bit-identical to serial by construction;
+  shared-memory thread pool, one preprocessed row window per chunk,
+  bit-identical to serial by construction;
 * :class:`~repro.engine.supervision.SupervisedExecutor` — the parallel
   plane behind the retry -> reduced width -> serial degradation ladder;
 * :class:`WorkspaceExecutor` — inject a default scratch arena;
@@ -30,13 +30,25 @@ stack unchanged.
 
 from __future__ import annotations
 
+import threading
+import time
+from collections import deque
+from concurrent.futures import wait as futures_wait
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..errors import ChunkFailure, ParallelExecutionError
 from ..formats import CSRMatrix
+from ..formats.base import (
+    check_out_buffer,
+    contiguous_operand,
+    trust_out_buffer,
+)
 from ..kernels.base import Kernel
 from ..memory import Workspace
+from ..parallel.plane import ParallelConfig, ParallelMeasurement, build_chunks
+from ..parallel.pool import get_executor
 from .guard import GuardedKernel, guard_kernel
 from .spec import ExecutorSpec
 
@@ -130,62 +142,271 @@ class KernelExecutor(ExecutorBase):
 class ParallelExecutor(ExecutorBase):
     """Terminal executor: the kernel's partition on the thread pool.
 
-    One :class:`~repro.parallel.plane.ParallelKernel` plus its
-    preprocessed per-chunk data, applying contiguous row blocks into
-    disjoint ``out=`` slices — bit-identical to serial execution by
-    construction. ``apply``/``apply_multi`` also take an optional
-    ``deadline_seconds`` watchdog budget.
+    Construction partitions the matrix and preprocesses one zero-copy
+    row window per contiguous run
+    (:func:`~repro.parallel.plane.build_chunks`). Each apply hands the
+    chunks to pool workers that write *disjoint* ``out`` slices, so the
+    result is bit-identical to serial execution by construction. Static
+    kinds pin chunks to their owning thread; ``kind == "dynamic"``
+    partitions drain a shared chunk queue, so the thread that runs a
+    chunk is decided at execution time, like an OpenMP
+    ``schedule(dynamic)`` loop.
+
+    ``apply``/``apply_multi`` also take an optional ``deadline_seconds``
+    watchdog budget. ``nthreads`` and ``partition`` describe the
+    partition actually built (its width may be below the requested
+    ``config.nthreads``); ``last_measurement`` holds the per-thread
+    clocks of the most recent apply.
     """
 
     def __init__(self, csr: CSRMatrix, kernel: Kernel | None = None, *,
                  nthreads: int, schedule: str = "balanced-nnz",
                  chunk_rows: int | None = None):
-        from ..parallel.plane import ParallelKernel
-
+        self.config = ParallelConfig(int(nthreads), schedule, chunk_rows)
         if kernel is None:
             from ..kernels.variants import baseline_kernel
 
             kernel = baseline_kernel()
         self.csr = csr
-        self.kernel = ParallelKernel(kernel, nthreads=nthreads,
-                                     schedule=schedule,
-                                     chunk_rows=chunk_rows)
-        self.data = self.kernel.preprocess(csr)
+        self.kernel = kernel
+        self.partition, self.chunks = build_chunks(csr, kernel, self.config)
+        # Chunk indices per owning thread, in row order (static seed
+        # assignment; the dynamic path ignores ownership).
+        self.thread_chunks: list[list[int]] = [
+            [] for _ in range(self.partition.nthreads)
+        ]
+        for ci, chunk in enumerate(self.chunks):
+            self.thread_chunks[chunk.tid].append(ci)
+        self._workspace = Workspace(thread_local=True)
+        #: measurement of the most recent apply/apply_multi.
+        self.last_measurement: ParallelMeasurement | None = None
 
     @property
     def nthreads(self) -> int:
-        return self.data.nthreads
-
-    @property
-    def partition(self):
-        return self.data.partition
-
-    @property
-    def last_measurement(self):
-        return self.kernel.last_measurement
+        return self.partition.nthreads
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None,
               workspace=None,
               deadline_seconds: float | None = None) -> np.ndarray:
-        return self.kernel.apply(self.data, x, out=out,
-                                 workspace=workspace,
-                                 deadline_seconds=deadline_seconds)
+        x = np.asarray(x, dtype=np.float64)
+        nrows, ncols = self.csr.shape
+        if x.shape != (ncols,):
+            raise ValueError(
+                f"x must have shape ({ncols},), got {x.shape}"
+            )
+        if out is None:
+            y = np.empty(nrows, dtype=np.float64)
+        else:
+            y = check_out_buffer(out, (nrows,), operand=x)
+        x = contiguous_operand(x, workspace, "parallel.x")
+        # Validate once here; each chunk's y[lo:hi] slice stays a
+        # trusted view, so the kernel skips re-validating the same
+        # buffer nthreads times per apply.
+        self._supervised(x, trust_out_buffer(y), multi=False,
+                         caller_out=out is not None,
+                         deadline_seconds=deadline_seconds)
+        return y
 
     def apply_multi(self, X: np.ndarray, out: np.ndarray | None = None,
                     workspace=None,
                     deadline_seconds: float | None = None) -> np.ndarray:
-        return self.kernel.apply_multi(self.data, X, out=out,
-                                       workspace=workspace,
-                                       deadline_seconds=deadline_seconds)
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        nrows, ncols = self.csr.shape
+        if X.ndim != 2 or X.shape[0] != ncols:
+            raise ValueError(
+                f"X must have shape ({ncols}, k), got {X.shape}"
+            )
+        k = X.shape[1]
+        if out is None:
+            Y = np.empty((nrows, k), dtype=np.float64)
+        else:
+            Y = check_out_buffer(out, (nrows, k), operand=X)
+        self._supervised(X, trust_out_buffer(Y), multi=True,
+                         caller_out=out is not None,
+                         deadline_seconds=deadline_seconds)
+        return Y
 
     def describe(self) -> str:
         return (
-            f"parallel[t{self.kernel.nthreads}/{self.kernel.schedule}]"
-            f" -> {kernel_label(self.kernel.inner)}"
+            f"parallel[t{self.config.nthreads}/{self.config.schedule}]"
+            f" -> {kernel_label(self.kernel)}"
         )
 
+    def _supervised(self, x: np.ndarray, y: np.ndarray, *, multi: bool,
+                    caller_out: bool,
+                    deadline_seconds: float | None) -> np.ndarray:
+        """Run ``_execute`` with the out-buffer safety contract.
+
+        A caller-owned ``out`` is never returned partially written: on
+        any :class:`~repro.errors.ParallelExecutionError` it is
+        NaN-invalidated before the error escapes. When a deadline is
+        armed the chunks additionally compute into private scratch —
+        a breached deadline abandons still-running workers, and those
+        must never race a buffer the caller can still observe — with
+        one ``copyto`` into ``out`` only on success.
+        """
+        target = y
+        if deadline_seconds is not None and caller_out:
+            target = np.empty_like(y)
+        try:
+            self._execute(x, target, multi=multi,
+                          deadline_seconds=deadline_seconds)
+        except ParallelExecutionError:
+            if caller_out:
+                y.fill(np.nan)
+            raise
+        if target is not y:
+            np.copyto(y, target)
+        return y
+
+    def _run_chunk(self, chunk, x: np.ndarray, y: np.ndarray, *,
+                   multi: bool) -> None:
+        # y[lo:hi] is a C-contiguous view (leading-axis slice of a
+        # C-contiguous array), disjoint from every other chunk's slice.
+        out = y[chunk.lo : chunk.hi]
+        if multi:
+            self.kernel.apply_multi(chunk.data, x, out=out,
+                                    workspace=self._workspace)
+        else:
+            self.kernel.apply(chunk.data, x, out=out,
+                              workspace=self._workspace)
+
+    def _execute(self, x: np.ndarray, y: np.ndarray, *, multi: bool,
+                 deadline_seconds: float | None = None
+                 ) -> ParallelMeasurement:
+        nthreads = self.nthreads
+        schedule = self.config.schedule
+        started = time.perf_counter()
+        walls = [0.0] * nthreads
+        cpus = [0.0] * nthreads
+        counts = [0] * nthreads
+        # Supervision state: per-chunk failures with attribution, a
+        # cooperative cancel flag (set on first failure or deadline
+        # breach; workers check it between chunks), and the chunk each
+        # slot is currently executing (for timeout attribution).
+        failures: list[ChunkFailure] = []
+        cancel = threading.Event()
+        current = [-1] * nthreads
+
+        def run_chunks(slot: int, indices) -> None:
+            w0 = time.perf_counter()
+            c0 = time.thread_time()
+            try:
+                for ci in indices:
+                    if cancel.is_set():
+                        break
+                    chunk = self.chunks[ci]
+                    current[slot] = ci
+                    try:
+                        self._run_chunk(chunk, x, y, multi=multi)
+                    except Exception as exc:
+                        failures.append(ChunkFailure(
+                            chunk_index=ci, row_lo=chunk.lo,
+                            row_hi=chunk.hi, thread_slot=slot,
+                            kind="exception",
+                            detail=f"{type(exc).__name__}: {exc}",
+                        ))
+                        cancel.set()
+                        break
+                    counts[slot] += 1
+            finally:
+                current[slot] = -1
+                cpus[slot] = time.thread_time() - c0
+                walls[slot] = time.perf_counter() - w0
+
+        if self.partition.is_dynamic:
+            queue = deque(range(len(self.chunks)))
+
+            def drain():
+                while True:
+                    try:
+                        yield queue.popleft()  # thread-safe pop
+                    except IndexError:
+                        return
+
+            def worker(slot: int) -> None:
+                run_chunks(slot, drain())
+        else:
+
+            def worker(slot: int) -> None:
+                run_chunks(slot, self.thread_chunks[slot])
+
+        # A deadline always goes through the pool (even at one thread)
+        # so the watchdog can abandon a hung chunk instead of blocking
+        # the caller inline forever.
+        if nthreads == 1 and deadline_seconds is None:
+            worker(0)
+        else:
+            pool = get_executor(nthreads)
+            futures = [pool.submit(worker, slot) for slot in range(nthreads)]
+            if deadline_seconds is None:
+                for future in futures:
+                    future.result()  # chunk faults are captured; this
+                    # only propagates errors in the worker loop itself
+            else:
+                remaining = deadline_seconds - (
+                    time.perf_counter() - started
+                )
+                done, not_done = futures_wait(
+                    futures, timeout=max(remaining, 0.0)
+                )
+                if not_done:
+                    cancel.set()
+                    for future in not_done:
+                        future.cancel()  # unstarted workers never run
+                    timeouts = []
+                    for slot, future in enumerate(futures):
+                        if future not in not_done:
+                            continue
+                        ci = current[slot]
+                        if ci >= 0:
+                            chunk = self.chunks[ci]
+                            timeouts.append(ChunkFailure(
+                                chunk_index=ci, row_lo=chunk.lo,
+                                row_hi=chunk.hi, thread_slot=slot,
+                                kind="timeout",
+                                detail="chunk still running at deadline",
+                            ))
+                        else:
+                            timeouts.append(ChunkFailure(
+                                chunk_index=-1, row_lo=-1, row_hi=-1,
+                                thread_slot=slot, kind="timeout",
+                                detail="worker unfinished at deadline",
+                            ))
+                    raise ParallelExecutionError(
+                        "deadline", tuple(failures) + tuple(timeouts),
+                        nthreads=nthreads, schedule=schedule,
+                        wall_seconds=time.perf_counter() - started,
+                        deadline_seconds=deadline_seconds,
+                    )
+                for future in futures:
+                    future.result()
+
+        if failures:
+            raise ParallelExecutionError(
+                "worker-fault", tuple(failures),
+                nthreads=nthreads, schedule=schedule,
+                wall_seconds=time.perf_counter() - started,
+                deadline_seconds=deadline_seconds,
+            )
+
+        measurement = ParallelMeasurement(
+            nthreads=nthreads,
+            schedule=schedule,
+            dynamic=self.partition.is_dynamic,
+            wall_seconds=time.perf_counter() - started,
+            thread_wall_seconds=tuple(walls),
+            thread_cpu_seconds=tuple(cpus),
+            chunks_per_thread=tuple(counts),
+        )
+        self.last_measurement = measurement
+        return measurement
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ParallelExecutor {self.kernel!r} {self.csr!r}>"
+        return (
+            f"<ParallelExecutor t={self.nthreads} "
+            f"{self.config.schedule!r} {self.kernel!r} {self.csr!r}>"
+        )
 
 
 class _DelegatingExecutor(ExecutorBase):

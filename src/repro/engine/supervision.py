@@ -1,10 +1,10 @@
 """Supervision middleware: deadline-aware fault-tolerant execution.
 
 This module is the engine's supervision layer.
-:class:`SupervisedExecutor` wraps the parallel execution plane
-(:class:`~repro.parallel.plane.ParallelKernel`) with the degradation
-ladder a serving system needs when a worker crashes, hangs past its
-deadline, or poisons its partition:
+:class:`SupervisedExecutor` runs the parallel execution plane
+(one :class:`~repro.engine.executor.ParallelExecutor` per ladder rung)
+behind the degradation ladder a serving system needs when a worker
+crashes, hangs past its deadline, or poisons its partition:
 
 1. run at the requested thread count (or at a previously *demoted*
    width, see below);
@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import ParallelExecutionError
 from ..formats import CSRMatrix
 from ..kernels.base import Kernel
-from .executor import ExecutorBase, kernel_label
+from .executor import ExecutorBase, ParallelExecutor, kernel_label
 
 __all__ = [
     "AttemptRecord",
@@ -207,9 +207,9 @@ class SupervisedExecutor(ExecutorBase):
     or — only when even serial execution is impossible — raises the
     last :class:`~repro.errors.ParallelExecutionError`.
 
-    Per-rung :class:`~repro.parallel.plane.ParallelKernel` instances
-    and their preprocessed data are cached, so a ladder that settles at
-    a lower width pays preprocessing once, not per apply.
+    Per-rung :class:`~repro.engine.executor.ParallelExecutor`
+    instances are cached, so a ladder that settles at a lower width
+    pays preprocessing once, not per apply.
     """
 
     def __init__(self, csr: CSRMatrix, kernel: Kernel | None = None, *,
@@ -236,8 +236,8 @@ class SupervisedExecutor(ExecutorBase):
         self.backoff_seconds = float(backoff_seconds)
         self.serial_fallback = bool(serial_fallback)
         self.tracer = tracer
-        #: rung width -> (ParallelKernel, ParallelData), built lazily.
-        self._rungs: dict[int, tuple] = {}
+        #: rung width -> ParallelExecutor, built lazily.
+        self._rungs: dict[int, ParallelExecutor] = {}
         #: report of the most recent apply.
         self.last_report: SupervisionReport | None = None
         # Poison detection mirrors GuardedKernel rule 3: only when the
@@ -245,15 +245,10 @@ class SupervisedExecutor(ExecutorBase):
         self._values_finite = bool(np.isfinite(csr.values).all())
         # Prime the requested rung so construction fails fast on a bad
         # partition and the first apply pays no preprocessing.
-        self._rung(self.nthreads)
+        #: Demotion-registry key (the parallel config signature).
+        self.signature = self._rung(self.nthreads).config.signature()
 
     # -- rung management ------------------------------------------------
-
-    @property
-    def signature(self) -> str:
-        """Demotion-registry key (the parallel config signature)."""
-        kernel, _ = self._rung(self.nthreads)
-        return kernel.config.signature()
 
     @property
     def last_measurement(self):
@@ -264,18 +259,14 @@ class SupervisedExecutor(ExecutorBase):
             return None
         if self.last_report.final_mode != "parallel":
             return None
-        kernel, _ = self._rung(self.last_report.final_nthreads)
-        return kernel.last_measurement
+        return self._rung(self.last_report.final_nthreads).last_measurement
 
-    def _rung(self, width: int) -> tuple:
+    def _rung(self, width: int) -> ParallelExecutor:
         rung = self._rungs.get(width)
         if rung is None:
-            from ..parallel.plane import ParallelKernel
-
-            kernel = ParallelKernel(self.inner, nthreads=width,
+            rung = ParallelExecutor(self.csr, self.inner, nthreads=width,
                                     schedule=self.schedule,
                                     chunk_rows=self.chunk_rows)
-            rung = (kernel, kernel.preprocess(self.csr))
             self._rungs[width] = rung
         return rung
 
@@ -301,7 +292,7 @@ class SupervisedExecutor(ExecutorBase):
 
     # -- poisoned-partition detection -----------------------------------
 
-    def _poison_failures(self, kernel, data, y: np.ndarray,
+    def _poison_failures(self, rung: ParallelExecutor, y: np.ndarray,
                          x: np.ndarray) -> list:
         """Non-finite output rows attributed back to their chunks.
 
@@ -321,7 +312,7 @@ class SupervisedExecutor(ExecutorBase):
 
         bad_rows = np.flatnonzero(~finite_rows)
         failures = []
-        for ci, chunk in enumerate(data.chunks):
+        for ci, chunk in enumerate(rung.chunks):
             n_bad = int(
                 np.count_nonzero(
                     (bad_rows >= chunk.lo) & (bad_rows < chunk.hi)
@@ -376,17 +367,15 @@ class SupervisedExecutor(ExecutorBase):
                 remaining = budget - (time.perf_counter() - started)
                 if remaining <= 0.0:
                     break  # budget gone: straight to serial
-            kernel, data = self._rung(width)
+            rung = self._rung(width)
             t0 = time.perf_counter()
             try:
                 if multi:
-                    y = kernel.apply_multi(data, x, out=out,
-                                           workspace=workspace,
-                                           deadline_seconds=remaining)
+                    y = rung.apply_multi(x, out=out, workspace=workspace,
+                                         deadline_seconds=remaining)
                 else:
-                    y = kernel.apply(data, x, out=out,
-                                     workspace=workspace,
-                                     deadline_seconds=remaining)
+                    y = rung.apply(x, out=out, workspace=workspace,
+                                   deadline_seconds=remaining)
             except ParallelExecutionError as exc:
                 last_error = exc
                 attempts.append(AttemptRecord(
@@ -401,7 +390,7 @@ class SupervisedExecutor(ExecutorBase):
 
                     recycle_executor(width)
             else:
-                poison = self._poison_failures(kernel, data, y, x)
+                poison = self._poison_failures(rung, y, x)
                 if poison:
                     last_error = ParallelExecutionError(
                         "poisoned", tuple(poison), nthreads=width,

@@ -62,8 +62,9 @@ class ChunkFailure:
     failed. Carried by :class:`ParallelExecutionError` and by the
     supervision reports of :mod:`repro.engine.supervision`."""
 
-    #: index of the chunk in its :class:`~repro.parallel.plane.
-    #: ParallelData` (``-1`` when a worker timed out between chunks).
+    #: index of the chunk in its :class:`~repro.engine.executor.
+    #: ParallelExecutor` (``-1`` when a worker timed out between
+    #: chunks).
     chunk_index: int
     #: contiguous row range ``[row_lo, row_hi)`` of the chunk (``-1``
     #: bounds when no chunk was attributable).

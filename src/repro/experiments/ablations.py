@@ -322,7 +322,8 @@ def architecture_sensitivity(matrix_name: str = "poisson3Db",
     class set of a scattered matrix migrate from {ML} to bandwidth-bound
     — the same migration the paper observes between its platforms.
     """
-    from ..core import classify_from_bounds, format_classes, measure_bounds
+    from ..core import classify_from_bounds, format_classes
+    from ..model import AnalyticModel
 
     csr = named_matrix(matrix_name, scale=scale)
     table = ExperimentTable(
@@ -344,7 +345,7 @@ def architecture_sensitivity(matrix_name: str = "poisson3Db",
         machine = KNC.with_(
             mem_latency_ns=latency, llc_hit_latency_ns=llc_lat, mlp=mlp
         )
-        bounds = measure_bounds(csr, machine)
+        bounds = AnalyticModel(machine).bounds(csr)
         table.add(
             float(latency), float(llc_lat), float(mlp),
             float(bounds.p_ml / bounds.p_csr),

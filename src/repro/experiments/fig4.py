@@ -7,9 +7,10 @@ bottleneck diversity.
 
 from __future__ import annotations
 
-from ..core import classify_from_bounds, format_classes, measure_bounds
+from ..core import classify_from_bounds, format_classes
 from ..machine import KNC, MachineSpec
 from ..matrices import load_suite
+from ..model import AnalyticModel
 from .common import ExperimentTable
 
 __all__ = ["run"]
@@ -26,8 +27,9 @@ def run(machine: MachineSpec = KNC, scale: float = 1.0,
             "classes",
         ),
     )
+    model = AnalyticModel(machine)
     for spec, csr in load_suite(scale=scale, names=names):
-        b = measure_bounds(csr, machine)
+        b = model.bounds(csr)
         table.add(
             spec.name,
             float(b.p_csr), float(b.p_mb), float(b.p_ml),

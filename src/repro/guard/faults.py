@@ -21,8 +21,8 @@ Three families of faults:
 :class:`BrokenKernel` rounds the module out: a kernel wrapper that
 misbehaves on demand (raises, poisons its output, or returns the wrong
 shape), used to exercise the guarded-execution quarantine.
-:class:`ParallelFaultKernel` is its parallel-plane sibling: wrapped
-*inside* a :class:`~repro.parallel.plane.ParallelKernel`, it makes the
+:class:`ParallelFaultKernel` is its parallel-plane sibling: run by a
+:class:`~repro.engine.executor.ParallelExecutor`, it makes the
 first K chunk applies crash, hang (a bounded sleep), or poison their
 partition — deterministically, whichever pool worker picks the chunk
 up — so the supervision/degradation ladder of
@@ -384,9 +384,9 @@ PARALLEL_FAULTS = ("crash", "hang", "poison")
 class ParallelFaultKernel(Kernel):
     """Deterministic worker-fault injector for the parallel plane.
 
-    Wrap this *inside* a :class:`~repro.parallel.plane.ParallelKernel`
-    (or hand it to :class:`~repro.engine.supervision.SupervisedExecutor`)
-    and the first ``fail_applies`` chunk applies — counted globally
+    Hand this to a :class:`~repro.engine.executor.ParallelExecutor`
+    (or a :class:`~repro.engine.supervision.SupervisedExecutor`) and
+    the first ``fail_applies`` chunk applies — counted globally
     across threads under a lock, so the injection is deterministic no
     matter which pool worker picks a chunk up — misbehave:
 

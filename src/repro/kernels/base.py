@@ -7,8 +7,8 @@ Every SpMV kernel variant in this library exposes three planes:
   ``scipy.sparse``); the format tests verify every transformation
   (delta encoding, decomposition, row permutation) against scipy;
 * **cost**: :meth:`Kernel.cost` produces the per-thread cycle/byte/
-  latency terms the :class:`~repro.machine.engine.ExecutionEngine`
-  turns into simulated execution times;
+  latency terms :meth:`repro.model.AnalyticModel.run` turns into
+  simulated execution times;
 * **preprocessing**: :meth:`Kernel.preprocess` builds the ``data`` the
   other planes read, and :meth:`Kernel.preprocessing_seconds` charges
   the simulated setup cost (format conversion passes + JIT code

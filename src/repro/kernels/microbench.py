@@ -99,11 +99,13 @@ def time_kernel(kernel, data, x, *, repeats: int = 7,
     )
 
 
-class RegularizedColindSpMV(Kernel):
-    """P_ML micro-kernel: irregular x accesses made regular."""
+class _RowSumMicroKernel(Kernel):
+    """Numeric plane shared by the two bound micro-kernels.
 
-    name = "microbench-regularized"
-    optimizations = ("regularized-colind",)
+    With every ``colind`` entry replaced by the row index (P_ML) or
+    with indirection dropped for a unit-stride x (P_CMP), row ``i``
+    computes ``y[i] = (sum_j vals_ij) * x[i]``.
+    """
 
     def apply(self, data: CSRMatrix, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -111,7 +113,6 @@ class RegularizedColindSpMV(Kernel):
             raise ValueError(
                 f"x must have shape ({data.ncols},), got {x.shape}"
             )
-        # colind[j] := row index  =>  y[i] = (sum_j vals_ij) * x[i]
         row_sums = np.zeros(data.nrows, dtype=np.float64)
         lengths = np.diff(data.rowptr)
         nonempty = np.flatnonzero(lengths > 0)
@@ -120,6 +121,13 @@ class RegularizedColindSpMV(Kernel):
                 data.values, data.rowptr[nonempty]
             )
         return row_sums * x[: data.nrows]
+
+
+class RegularizedColindSpMV(_RowSumMicroKernel):
+    """P_ML micro-kernel: irregular x accesses made regular."""
+
+    name = "microbench-regularized"
+    optimizations = ("regularized-colind",)
 
     def cost(self, data: CSRMatrix, machine: MachineSpec,
              partition: Partition) -> KernelCost:
@@ -130,26 +138,11 @@ class RegularizedColindSpMV(Kernel):
         )
 
 
-class UnitStrideSpMV(Kernel):
+class UnitStrideSpMV(_RowSumMicroKernel):
     """P_CMP micro-kernel: indirection removed, unit-stride x access."""
 
     name = "microbench-unitstride"
     optimizations = ("unit-stride",)
-
-    def apply(self, data: CSRMatrix, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (data.ncols,):
-            raise ValueError(
-                f"x must have shape ({data.ncols},), got {x.shape}"
-            )
-        row_sums = np.zeros(data.nrows, dtype=np.float64)
-        lengths = np.diff(data.rowptr)
-        nonempty = np.flatnonzero(lengths > 0)
-        if nonempty.size:
-            row_sums[nonempty] = np.add.reduceat(
-                data.values, data.rowptr[nonempty]
-            )
-        return row_sums * x[: data.nrows]
 
     def cost(self, data: CSRMatrix, machine: MachineSpec,
              partition: Partition) -> KernelCost:

@@ -15,7 +15,7 @@ from .cache import (
     x_access_stats,
     x_working_set_bytes,
 )
-from .engine import CostedKernel, ExecutionEngine, KernelCost, RunResult
+from .engine import KernelCost, RunResult
 from .platforms import BROADWELL, KNC, KNL, PLATFORMS, get_platform
 from .roofline import (
     RooflinePoint,
@@ -34,10 +34,8 @@ __all__ = [
     "BROADWELL",
     "PLATFORMS",
     "get_platform",
-    "ExecutionEngine",
     "KernelCost",
     "RunResult",
-    "CostedKernel",
     "XAccessStats",
     "XAccessCost",
     "x_access_stats",

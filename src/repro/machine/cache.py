@@ -24,7 +24,7 @@ The measurements the paper takes are *warm-cache* (128 back-to-back
 SpMVs), so residency is a steady-state fraction, not a cold-start one.
 
 Per-matrix derived arrays are memoized via :class:`weakref.WeakKeyDictionary`
-so repeated engine runs on the same matrix (bounds, oracle sweeps, ...)
+so repeated simulated runs on the same matrix (bounds, oracle sweeps, ...)
 do not recompute them.
 """
 
@@ -68,7 +68,7 @@ class XAccessCost:
     """Machine-dependent x-access cost of one matrix.
 
     ``latency_ns_per_row`` is total exposed miss latency per row before
-    dividing by the achievable memory-level parallelism (the engine
+    dividing by the achievable memory-level parallelism (the time model
     applies MLP, which is what software prefetching improves).
     ``dram_bytes_per_row`` is the x-induced DRAM line traffic.
     """
@@ -161,7 +161,11 @@ def x_working_set_bytes(csr: CSRMatrix, machine: MachineSpec) -> int:
 
 def residency_fractions(csr: CSRMatrix, machine: MachineSpec) -> tuple[float, float]:
     """(local, aggregate-LLC) steady-state residency fractions of x."""
-    x_ws = x_working_set_bytes(csr, machine)
+    return _residency(x_working_set_bytes(csr, machine), machine)
+
+
+def _residency(x_ws: int, machine: MachineSpec) -> tuple[float, float]:
+    """(local, aggregate-LLC) residency of an ``x_ws``-byte x."""
     if x_ws == 0:
         return 1.0, 1.0
     local_cap = _X_CACHE_SHARE * machine.l2_bytes_per_core
@@ -171,22 +175,15 @@ def residency_fractions(csr: CSRMatrix, machine: MachineSpec) -> tuple[float, fl
     return local, llc
 
 
-def x_access_cost(
-    csr: CSRMatrix,
-    machine: MachineSpec,
-    *,
-    software_prefetch: bool = False,
-) -> XAccessCost:
-    """Estimate per-row x-access latency exposure and DRAM traffic."""
-    stats = x_access_stats(csr, machine.line_elems)
-    local, llc = residency_fractions(csr, machine)
-
-    potential = stats.potential_misses
-    strided = stats.strided_potential
-    random_part = potential - strided
-
+def _miss_cost(potential, strided, local: float, llc: float,
+               machine: MachineSpec):
+    """Exposed miss latency (ns, before MLP) and DRAM bytes of
+    ``potential`` possible misses, ``strided`` of them trackable (per-row
+    arrays or stream totals)."""
     # Hardware prefetchers hide trackable strided misses.
-    visible = random_part + strided * (1.0 - machine.hw_prefetch_eff)
+    visible = (potential - strided) + strided * (
+        1.0 - machine.hw_prefetch_eff
+    )
 
     # Misses that leave the core: a fraction `llc - local` of them is
     # served by a remote L2 / the L3, the rest (1 - llc) go to DRAM.
@@ -202,9 +199,25 @@ def x_access_cost(
 
     # DRAM line traffic: only the non-LLC-resident share of potential
     # re-fetches. Prefetched lines still consume bandwidth, so the
-    # hardware-prefetch reduction does NOT apply to traffic; software
-    # prefetch slightly inflates it with useless fetches.
+    # hardware-prefetch reduction does NOT apply to traffic.
     dram_bytes = potential * (1.0 - llc) * machine.line_bytes
+    return latency_ns, dram_bytes
+
+
+def x_access_cost(
+    csr: CSRMatrix,
+    machine: MachineSpec,
+    *,
+    software_prefetch: bool = False,
+) -> XAccessCost:
+    """Estimate per-row x-access latency exposure and DRAM traffic."""
+    stats = x_access_stats(csr, machine.line_elems)
+    local, llc = residency_fractions(csr, machine)
+    latency_ns, dram_bytes = _miss_cost(
+        stats.potential_misses, stats.strided_potential, local, llc,
+        machine,
+    )
+    # Software prefetch slightly inflates traffic with useless fetches.
     if software_prefetch:
         dram_bytes = dram_bytes * 1.05
 
@@ -230,26 +243,11 @@ def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
     gaps = np.abs(np.diff(cols, prepend=cols[:1] - 10**9))
     may_miss = gaps > line
     strided = may_miss & (gaps <= _PREFETCHABLE_LINES * line)
-    potential = float(np.count_nonzero(may_miss))
-    strided_n = float(np.count_nonzero(strided))
-
-    x_ws = _distinct_lines(cols, ncols, line) * machine.line_bytes
-    local_cap = _X_CACHE_SHARE * machine.l2_bytes_per_core
-    llc_cap = _X_CACHE_SHARE * machine.llc_bytes
-    local = min(1.0, local_cap / max(x_ws, 1))
-    llc = min(1.0, max(llc_cap / max(x_ws, 1), local))
-
-    visible = (potential - strided_n) + strided_n * (
-        1.0 - machine.hw_prefetch_eff
+    local, llc = _residency(
+        _distinct_lines(cols, ncols, line) * machine.line_bytes, machine
     )
-    leaving = visible * (1.0 - local)
-    remote_frac = (
-        min(max((llc - local) / (1.0 - local), 0.0), 1.0)
-        if local < 1.0 else 1.0
+    latency_ns, dram_bytes = _miss_cost(
+        float(np.count_nonzero(may_miss)), float(np.count_nonzero(strided)),
+        local, llc, machine,
     )
-    latency_ns = leaving * (
-        remote_frac * machine.llc_hit_latency_ns
-        + (1.0 - remote_frac) * machine.mem_latency_ns
-    )
-    dram_bytes = potential * (1.0 - llc) * machine.line_bytes
     return {"latency_ns": float(latency_ns), "dram_bytes": float(dram_bytes)}

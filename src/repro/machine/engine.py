@@ -1,39 +1,19 @@
-"""Analytical multithreaded execution engine.
+"""Cost-plane data types of the simulator.
 
-This is the substitute for running native OpenMP kernels on real
-hardware (see DESIGN.md Section 2). A kernel variant exposes a *cost
-plane*: per-thread core cycles, streamed memory bytes and exposed miss
-latency for a given matrix and row partition. The engine turns those
-into per-thread execution times using a first-order overlap model:
-
-``t_thread = max(compute, bandwidth_share, latency / MLP) + extra``
-
-with a global bandwidth-saturation floor (the memory system cannot move
-more than ``B_max`` bytes/second regardless of per-thread overlap), SMT
-pipeline sharing (core cycles stretch by the number of co-resident
-hardware threads), per-launch fork/join overhead, and chunk-dispatch
-overhead for the ``auto``/``dynamic`` schedules.
-
-The per-thread time vector is exactly what the paper's bound-and-
-bottleneck analysis consumes: ``P_IMB`` uses its median, bandwidth
-utilization falls out of bytes/makespan, and so on.
+A kernel variant's cost plane produces a :class:`KernelCost`: per-thread
+core cycles, streamed memory bytes and exposed miss latency for one
+matrix and row partition. :meth:`repro.model.AnalyticModel.run` turns it
+into a :class:`RunResult`, the per-thread execution times and makespan
+of one simulated run (see DESIGN.md Section 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
-from ..sched import Partition
-from .spec import MachineSpec
-
-__all__ = ["KernelCost", "RunResult", "ExecutionEngine", "CostedKernel"]
-
-#: Core cycles to grab one scheduling chunk from the shared queue
-#: (atomic fetch-add + loop restart) for auto/dynamic schedules.
-_CHUNK_DISPATCH_CYCLES = 120.0
+__all__ = ["KernelCost", "RunResult"]
 
 
 @dataclass(frozen=True)
@@ -60,15 +40,6 @@ class KernelCost:
             raise ValueError("per-thread cost arrays must have equal shape")
         if self.mlp <= 0:
             raise ValueError("mlp must be positive")
-
-
-class CostedKernel(Protocol):
-    """Anything the engine can run (see :mod:`repro.kernels.base`)."""
-
-    name: str
-
-    def cost(self, data, machine: MachineSpec, partition: Partition) -> KernelCost:
-        ...
 
 
 @dataclass(frozen=True)
@@ -120,115 +91,3 @@ class RunResult:
             "imbalance": float(self.imbalance),
             "schedule": self.schedule_kind,
         }
-
-
-class ExecutionEngine:
-    """Simulates kernel executions on one :class:`MachineSpec`."""
-
-    def __init__(self, machine: MachineSpec, nthreads: int | None = None):
-        self.machine = machine
-        self.nthreads = (
-            machine.total_threads if nthreads is None else int(nthreads)
-        )
-        if self.nthreads < 1:
-            raise ValueError("nthreads must be >= 1")
-
-    def run(self, kernel, data, partition: Partition | None = None) -> RunResult:
-        """Simulate one execution of ``kernel`` on ``data``.
-
-        ``partition`` defaults to the kernel's preferred partitioning
-        at this engine's thread count.
-        """
-        if partition is None:
-            partition = kernel.partition(data, self.nthreads)
-        cost = kernel.cost(data, self.machine, partition)
-        return self._finalize(kernel.name, cost, partition)
-
-    # -- core time model ------------------------------------------------
-
-    def _finalize(self, name: str, cost: KernelCost,
-                  partition: Partition) -> RunResult:
-        m = self.machine
-        T = partition.nthreads
-
-        t_comp = cost.compute_cycles * (m.smt / m.freq_hz)
-        bw = m.bandwidth_for_working_set(cost.working_set_bytes)
-        t_bw = cost.stream_bytes / (bw / T)
-        t_lat = cost.latency_ns * (1e-9 / cost.mlp)
-
-        thread = np.maximum(np.maximum(t_comp, t_bw), t_lat)
-        if cost.extra_seconds is not None:
-            thread = thread + cost.extra_seconds
-
-        if partition.kind in ("auto", "dynamic"):
-            chunks_per_thread = partition.n_chunks() / max(T, 1)
-            dispatch = chunks_per_thread * _CHUNK_DISPATCH_CYCLES * (
-                m.smt / m.freq_hz
-            )
-            thread = thread + dispatch
-
-        if partition.is_dynamic:
-            # Work stealing equalizes busy time across threads, but it
-            # cannot split a row: the largest indivisible unit floors
-            # the makespan (plus dispatch, already included above).
-            unit_floor = max(
-                cost.max_unit_cycles * (m.smt / m.freq_hz),
-                cost.max_unit_latency_ns * (1e-9 / cost.mlp),
-            )
-            thread = np.full_like(
-                thread, max(float(thread.mean()), unit_floor)
-            )
-
-        makespan = float(thread.max(initial=0.0))
-        # Global bandwidth saturation floor.
-        total_bytes = float(cost.stream_bytes.sum())
-        makespan = max(makespan, total_bytes / bw)
-        makespan += m.parallel_overhead_seconds(T)
-
-        return RunResult(
-            kernel_name=name,
-            machine_codename=m.codename,
-            nthreads=T,
-            seconds=makespan,
-            thread_seconds=thread,
-            flops=cost.flops,
-            total_bytes=total_bytes,
-            schedule_kind=partition.kind,
-            breakdown={
-                "compute_s": t_comp,
-                "bandwidth_s": t_bw,
-                "latency_s": t_lat,
-                "bandwidth_level_gbs": bw / 1e9,
-            },
-        )
-
-    # -- paper-faithful measurement protocol ----------------------------
-
-    def measure(self, kernel, data, partition: Partition | None = None,
-                iterations: int = 128, runs: int = 5) -> RunResult:
-        """Measure following the paper's protocol.
-
-        The paper reports, per matrix, the harmonic mean over 5 runs of
-        the rate of 128 warm-cache SpMV iterations. The simulator is
-        deterministic, so this returns the same rate as :meth:`run`; the
-        protocol is retained so the statistics pipeline (arithmetic mean
-        of counts inside a run, harmonic mean of rates across runs) is
-        exercised end to end.
-        """
-        if iterations < 1 or runs < 1:
-            raise ValueError("iterations and runs must be >= 1")
-        results = [self.run(kernel, data, partition) for _ in range(runs)]
-        rates = np.array([r.gflops for r in results])
-        hmean = rates.size / np.sum(1.0 / rates) if np.all(rates > 0) else 0.0
-        base = results[0]
-        return RunResult(
-            kernel_name=base.kernel_name,
-            machine_codename=base.machine_codename,
-            nthreads=base.nthreads,
-            seconds=base.flops / (hmean * 1e9) if hmean else float("inf"),
-            thread_seconds=base.thread_seconds,
-            flops=base.flops,
-            total_bytes=base.total_bytes,
-            schedule_kind=base.schedule_kind,
-            breakdown=base.breakdown,
-        )

@@ -3,9 +3,10 @@
 One protocol (:class:`~repro.model.base.CostModel`), two
 implementations:
 
-* :class:`AnalyticModel` — the pure simulator, absorbing the
-  previously scattered estimators (ExecutionEngine call sites, the
-  per-class bound derivation, micro-kernel cost assembly);
+* :class:`AnalyticModel` — the pure simulator: the per-thread time
+  model (:meth:`AnalyticModel.run`, the one simulator entry point),
+  the per-class bound derivation and, through the kernels' cost
+  planes, the micro-kernel cost assembly;
 * :class:`CalibratedModel` — analytic × a host-measured
   :class:`MachineProfile` (``repro-spmv calibrate``), with online
   :meth:`~CalibratedModel.refine` fed by execute-span telemetry.

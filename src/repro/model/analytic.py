@@ -1,34 +1,52 @@
-"""The analytic cost model — the simulator behind one protocol.
+"""The analytic cost model: the simulator behind one protocol.
 
 :class:`AnalyticModel` is the single home of the modeled performance
-estimates that used to be scattered across the codebase: the
-per-thread overlap model of :class:`~repro.machine.engine.
-ExecutionEngine`, the per-class bound derivation that lived in
-``core/bounds.measure_bounds``, and the micro-kernel cost planes of
+estimates: the per-thread overlap time model (:meth:`AnalyticModel.run`),
+the per-class bound derivation (:meth:`AnalyticModel.bounds`), and,
+through the kernels' cost planes, the micro-kernel cost assembly of
 :mod:`repro.kernels.costmodel`. Consumers (pipeline stages, the
 optimizer, baselines, schedulers) talk to the :class:`~repro.model.
-base.CostModel` protocol and never construct an ``ExecutionEngine``
-themselves, which is what lets :class:`~repro.model.calibrated.
-CalibratedModel` swap in transparently.
+base.CostModel` protocol, which is what lets :class:`~repro.model.
+calibrated.CalibratedModel` swap in transparently.
+
+The time model stands in for running native OpenMP kernels on real
+hardware (see DESIGN.md Section 2). A kernel's cost plane gives
+per-thread core cycles, streamed memory bytes and exposed miss latency
+for a matrix and row partition; :meth:`AnalyticModel.run` turns them
+into per-thread times with a first-order overlap model,
+
+``t_thread = max(compute, bandwidth_share, latency / MLP) + extra``
+
+plus a global bandwidth-saturation floor (the memory system cannot
+move more than ``B_max`` bytes/second regardless of per-thread
+overlap), SMT pipeline sharing (core cycles stretch by the number of
+co-resident hardware threads), per-launch fork/join overhead, and
+chunk-dispatch overhead for the ``auto``/``dynamic`` schedules. The
+per-thread time vector is what the paper's bound-and-bottleneck
+analysis consumes: ``P_IMB`` uses its median, bandwidth utilization
+falls out of bytes/makespan, and so on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..machine import ExecutionEngine, MachineSpec, RunResult
+from ..machine import MachineSpec, RunResult
 from .base import PerformanceBounds, Prediction
 
 __all__ = ["AnalyticModel"]
+
+#: Core cycles to grab one scheduling chunk from the shared queue
+#: (atomic fetch-add + loop restart) for auto/dynamic schedules.
+_CHUNK_DISPATCH_CYCLES = 120.0
 
 
 class AnalyticModel:
     """Pure analytical cost model for one target machine.
 
-    Thin, cheap object: engines are memoized per thread count, so a
-    model can serve predictions at many ``nthreads`` without
-    reconstruction. ``nthreads=None`` means the machine's full thread
-    count (the simulator's default).
+    Thin, cheap object: a model serves predictions at any ``nthreads``
+    without reconstruction. ``nthreads=None`` means the machine's full
+    thread count (the simulator's default).
     """
 
     kind = "analytic"
@@ -36,39 +54,85 @@ class AnalyticModel:
     def __init__(self, machine: MachineSpec,
                  nthreads: int | None = None):
         self.machine = machine
-        self.nthreads = None if nthreads is None else int(nthreads)
-        self._engines: dict[int | None, ExecutionEngine] = {}
+        self.nthreads = None if nthreads is None else self._threads(nthreads)
 
-    # -- engine plumbing ----------------------------------------------
-
-    def engine(self, nthreads: int | None = None) -> ExecutionEngine:
-        """The memoized simulator at ``nthreads`` (default: the model's)."""
-        key = self.nthreads if nthreads is None else int(nthreads)
-        eng = self._engines.get(key)
-        if eng is None:
-            eng = ExecutionEngine(self.machine, key)
-            self._engines[key] = eng
-        return eng
+    def _threads(self, nthreads: int | None = None) -> int:
+        """The call's thread count, else the model's, else the
+        machine's; a count below 1 is an error."""
+        if nthreads is None:
+            nthreads = self.nthreads or self.machine.total_threads
+        nthreads = int(nthreads)
+        if nthreads < 1:
+            raise ValueError("nthreads must be >= 1")
+        return nthreads
 
     # -- predictions ---------------------------------------------------
 
     def run(self, kernel, data, partition=None, *,
             nthreads: int | None = None) -> RunResult:
-        """Predict one execution of ``kernel`` on ``data``.
+        """Simulate one execution of ``kernel`` on ``data``.
 
-        Drop-in for the old ``ExecutionEngine(machine, n).run(...)``
-        idiom; ``nthreads`` overrides the model's default for this call
-        only (the execute stage predicts at the *measured* thread count
-        this way).
+        ``partition`` defaults to the kernel's preferred partitioning
+        at ``nthreads``, which overrides the model's default for this
+        call only (the execute stage predicts at the *measured* thread
+        count this way). An explicit partition fixes the width.
         """
-        return self.engine(nthreads).run(kernel, data, partition)
+        width = self._threads(nthreads)
+        if partition is None:
+            partition = kernel.partition(data, width)
+        cost = kernel.cost(data, self.machine, partition)
+        m = self.machine
+        T = partition.nthreads
 
-    def measure(self, kernel, data, partition=None, *,
-                nthreads: int | None = None,
-                iterations: int = 128, runs: int = 5) -> RunResult:
-        """The paper's 5x128-iteration measurement protocol."""
-        return self.engine(nthreads).measure(
-            kernel, data, partition, iterations=iterations, runs=runs
+        t_comp = cost.compute_cycles * (m.smt / m.freq_hz)
+        bw = m.bandwidth_for_working_set(cost.working_set_bytes)
+        t_bw = cost.stream_bytes / (bw / T)
+        t_lat = cost.latency_ns * (1e-9 / cost.mlp)
+
+        thread = np.maximum(np.maximum(t_comp, t_bw), t_lat)
+        if cost.extra_seconds is not None:
+            thread = thread + cost.extra_seconds
+
+        if partition.kind in ("auto", "dynamic"):
+            chunks_per_thread = partition.n_chunks() / max(T, 1)
+            dispatch = chunks_per_thread * _CHUNK_DISPATCH_CYCLES * (
+                m.smt / m.freq_hz
+            )
+            thread = thread + dispatch
+
+        if partition.is_dynamic:
+            # Work stealing equalizes busy time across threads, but it
+            # cannot split a row: the largest indivisible unit floors
+            # the makespan (plus dispatch, already included above).
+            unit_floor = max(
+                cost.max_unit_cycles * (m.smt / m.freq_hz),
+                cost.max_unit_latency_ns * (1e-9 / cost.mlp),
+            )
+            thread = np.full_like(
+                thread, max(float(thread.mean()), unit_floor)
+            )
+
+        makespan = float(thread.max(initial=0.0))
+        # Global bandwidth saturation floor.
+        total_bytes = float(cost.stream_bytes.sum())
+        makespan = max(makespan, total_bytes / bw)
+        makespan += m.parallel_overhead_seconds(T)
+
+        return RunResult(
+            kernel_name=kernel.name,
+            machine_codename=m.codename,
+            nthreads=T,
+            seconds=makespan,
+            thread_seconds=thread,
+            flops=cost.flops,
+            total_bytes=total_bytes,
+            schedule_kind=partition.kind,
+            breakdown={
+                "compute_s": t_comp,
+                "bandwidth_s": t_bw,
+                "latency_s": t_lat,
+                "bandwidth_level_gbs": bw / 1e9,
+            },
         )
 
     def predict(self, kernel, data, partition=None, *,
@@ -77,13 +141,6 @@ class AnalyticModel:
         return Prediction.from_result(
             self.run(kernel, data, partition, nthreads=nthreads)
         )
-
-    def per_thread_seconds(self, kernel, data, partition=None, *,
-                           nthreads: int | None = None) -> np.ndarray:
-        """Predicted per-thread busy times (the makespan's inputs)."""
-        return self.run(
-            kernel, data, partition, nthreads=nthreads
-        ).thread_seconds
 
     # -- per-class bounds (paper Section III-B) ------------------------
 
@@ -120,7 +177,7 @@ class AnalyticModel:
         # count, so they share the baseline's balanced-nnz partition.
         base = baseline_kernel()
         data = base.preprocess(csr)
-        partition = base.partition(data, self.engine().nthreads)
+        partition = base.partition(data, self._threads())
         r_csr = self.run(base, data, partition)
 
         # Analytic bounds: compulsory traffic at peak sustainable

@@ -80,7 +80,7 @@ class Prediction:
     """One cost-model prediction with its decomposition pulled out.
 
     ``decomposition`` carries the per-thread maxima of the three
-    first-order time terms the engine overlaps (``compute_s``,
+    first-order time terms the time model overlaps (``compute_s``,
     ``bandwidth_s``, ``latency_s``) plus the selected bandwidth level,
     so a consumer can see *which* term bounds the makespan without
     reverse-engineering the ``RunResult`` breakdown arrays.

@@ -3,8 +3,10 @@
 Executes :class:`~repro.sched.base.Partition` objects on a persistent
 :class:`~concurrent.futures.ThreadPoolExecutor` (the compiled kernels
 release the GIL), making the paper's IMB thread-imbalance analysis
-*measurable* instead of only simulated: the analytical engine predicts
-per-thread times, :class:`ParallelKernel` measures them. See
+*measurable* instead of only simulated: the cost model predicts
+per-thread times, :class:`repro.engine.ParallelExecutor` measures them
+(:class:`ParallelMeasurement`). This package holds the executor's
+configuration, chunking helpers and thread pools. See
 docs/parallelism.md.
 
 Stacks over this plane are assembled by
@@ -14,12 +16,7 @@ Stacks over this plane are assembled by
 docs/robustness.md.
 """
 
-from .plane import (
-    ParallelConfig,
-    ParallelData,
-    ParallelKernel,
-    ParallelMeasurement,
-)
+from .plane import ParallelConfig, ParallelMeasurement
 from .pool import (
     active_worker_counts,
     get_executor,
@@ -30,8 +27,6 @@ from .pool import (
 
 __all__ = [
     "ParallelConfig",
-    "ParallelData",
-    "ParallelKernel",
     "ParallelMeasurement",
     "get_executor",
     "shutdown_executors",

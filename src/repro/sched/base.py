@@ -6,9 +6,9 @@ The cost model aggregates per-row cost arrays to per-thread totals via
 row->thread map works (contiguous blocks, round-robin chunks, ...).
 
 ``kind == "dynamic"`` is special: it represents a work-stealing runtime
-whose assignment is made *at execution time*. The engine treats it as
-near-perfectly balanced modulo per-chunk scheduling overhead (see
-:mod:`repro.machine.engine`).
+whose assignment is made *at execution time*. The time model treats it
+as near-perfectly balanced modulo per-chunk scheduling overhead (see
+:meth:`repro.model.AnalyticModel.run`).
 """
 
 from __future__ import annotations

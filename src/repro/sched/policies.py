@@ -158,7 +158,7 @@ def dynamic_chunks(csr: CSRMatrix, nthreads: int,
     """Work-stealing dynamic schedule (ablation baseline).
 
     The row->thread map records the static round-robin *seed*
-    assignment, but ``kind == "dynamic"`` tells the engine (and the
+    assignment, but ``kind == "dynamic"`` tells the time model (and the
     real parallel plane in :mod:`repro.parallel`) to rebalance chunks
     across threads at execution time, charging a per-chunk dispatch
     overhead.

@@ -4,7 +4,8 @@ import numpy as np
 
 from repro.baselines import mkl_csr_kernel, run_mkl_csr
 from repro.kernels import baseline_kernel
-from repro.machine import ExecutionEngine, KNL
+from repro.machine import KNL
+from repro.model import AnalyticModel
 
 
 def test_kernel_configuration():
@@ -27,10 +28,10 @@ def test_numerically_exact(small_random_csr, x300):
 def test_beats_scalar_baseline_on_regular(banded_csr):
     """Vectorized vendor kernel should outrun the scalar baseline on
     regular matrices (otherwise our comparisons are strawmen)."""
-    engine = ExecutionEngine(KNL)
+    model = AnalyticModel(KNL)
     base = baseline_kernel()
     r_mkl = run_mkl_csr(banded_csr, KNL)
-    r_base = engine.run(base, base.preprocess(banded_csr))
+    r_base = model.run(base, base.preprocess(banded_csr))
     assert r_mkl.gflops >= r_base.gflops * 0.95
 
 

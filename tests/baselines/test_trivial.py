@@ -27,13 +27,13 @@ def test_combined_at_least_as_good_but_more_expensive(skewed_csr):
 
 def test_picks_the_actual_argmax(skewed_csr):
     """The sweep must return exactly the best-performing candidate."""
-    from repro.machine import ExecutionEngine
+    from repro.model import AnalyticModel
 
     opt = TrivialOptimizer(KNL, "single", nthreads=32)
     res = opt.optimize(skewed_csr)
-    engine = ExecutionEngine(KNL, nthreads=32)
+    model = AnalyticModel(KNL, nthreads=32)
     best = max(
-        (engine.run(k, k.preprocess(skewed_csr)).gflops, name)
+        (model.run(k, k.preprocess(skewed_csr)).gflops, name)
         for name, k in opt.candidates().items()
     )
     assert res.chosen == best[1]

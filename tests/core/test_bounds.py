@@ -3,36 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.core import measure_bounds
-from repro.core.bounds import profiling_seconds
 from repro.formats import CSRMatrix
 from repro.machine import KNC, KNL
+from repro.model import AnalyticModel, profiling_seconds
 
 
 def test_bounds_all_positive(banded_csr, platform):
-    b = measure_bounds(banded_csr, platform)
+    b = AnalyticModel(platform).bounds(banded_csr)
     for v in b.as_dict().values():
         assert v > 0
 
 
 def test_peak_dominates_mb(banded_csr, platform):
     """P_peak assumes indexing is free; it must upper-bound P_MB."""
-    b = measure_bounds(banded_csr, platform)
+    b = AnalyticModel(platform).bounds(banded_csr)
     assert b.p_peak > b.p_mb
 
 
 def test_imb_bound_at_least_baseline(skewed_csr, banded_csr, platform):
     """Median thread time <= makespan, so P_IMB >= P_CSR."""
     for m in (skewed_csr, banded_csr):
-        b = measure_bounds(m, platform)
+        b = AnalyticModel(platform).bounds(m)
         assert b.p_imb >= b.p_csr * 0.999
 
 
 def test_imb_gap_large_for_skewed_small_for_regular():
-    b_skew = measure_bounds(_big_skewed(), KNC)
+    b_skew = AnalyticModel(KNC).bounds(_big_skewed())
     from repro.matrices.generators import banded
 
-    b_reg = measure_bounds(banded(50_000, nnz_per_row=16, seed=3), KNC)
+    b_reg = AnalyticModel(KNC).bounds(banded(50_000, nnz_per_row=16, seed=3))
     assert b_skew.p_imb / b_skew.p_csr > 2.0
     assert b_reg.p_imb / b_reg.p_csr < 1.1
 
@@ -51,8 +50,8 @@ def test_ml_gap_large_for_scattered_on_knc():
 
     scattered = random_uniform(120_000, nnz_per_row=16.0, seed=4)
     regular = banded(120_000, nnz_per_row=16, seed=5)
-    b_s = measure_bounds(scattered, KNC)
-    b_r = measure_bounds(regular, KNC)
+    b_s = AnalyticModel(KNC).bounds(scattered)
+    b_r = AnalyticModel(KNC).bounds(regular)
     assert b_s.p_ml / b_s.p_csr > 1.5
     assert b_r.p_ml / b_r.p_csr < 1.3
 
@@ -60,11 +59,11 @@ def test_ml_gap_large_for_scattered_on_knc():
 def test_empty_matrix_rejected():
     csr = CSRMatrix([0, 0], np.zeros(0, np.int32), np.zeros(0), (1, 1))
     with pytest.raises(ValueError):
-        measure_bounds(csr, KNC)
+        AnalyticModel(KNC).bounds(csr)
 
 
 def test_profiling_seconds_accounting(banded_csr):
-    b = measure_bounds(banded_csr, KNL)
+    b = AnalyticModel(KNL).bounds(banded_csr)
     t = profiling_seconds(b, banded_csr, iterations=64)
     # 64 iterations of three kernels, each at least as fast as baseline
     t_base = 2.0 * banded_csr.nnz / (b.p_csr * 1e9)
@@ -73,7 +72,7 @@ def test_profiling_seconds_accounting(banded_csr):
 
 
 def test_bounds_str(banded_csr):
-    text = str(measure_bounds(banded_csr, KNC))
+    text = str(AnalyticModel(KNC).bounds(banded_csr))
     assert "P_CSR" in text and "knc" in text
 
 
@@ -81,7 +80,6 @@ def test_bounds_build_one_partition(monkeypatch, skewed_csr):
     """The baseline, P_ML and P_CMP runs share one balanced-nnz
     partition, and each bound equals its run on its own partition."""
     from repro.kernels import RegularizedColindSpMV, UnitStrideSpMV
-    from repro.model import AnalyticModel
     from repro.sched import policies
 
     model = AnalyticModel(KNL)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveSpMV, Bottleneck
-from repro.machine import ExecutionEngine, KNC, KNL
+from repro.machine import KNC, KNL
 from repro.kernels import baseline_kernel
+from repro.model import AnalyticModel
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +40,9 @@ def test_optimize_improves_skewed(skewed_big):
     operator = opt.optimize(skewed_big)
     assert Bottleneck.IMB in operator.plan.classes
     assert "decomposition" in operator.plan.optimizations
-    engine = ExecutionEngine(KNL)
+    model = AnalyticModel(KNL)
     base = baseline_kernel()
-    r_base = engine.run(base, base.preprocess(skewed_big))
+    r_base = model.run(base, base.preprocess(skewed_big))
     assert operator.simulate().gflops > 2.0 * r_base.gflops
 
 
@@ -49,9 +50,9 @@ def test_optimize_improves_scattered_on_knc(scattered_big):
     opt = AdaptiveSpMV(KNC, classifier="profile")
     operator = opt.optimize(scattered_big)
     assert Bottleneck.ML in operator.plan.classes
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
-    r_base = engine.run(base, base.preprocess(scattered_big))
+    r_base = model.run(base, base.preprocess(scattered_big))
     assert operator.simulate().gflops > 1.25 * r_base.gflops
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Bottleneck, OptimizationPool, PoolPolicy
+from repro.kernels import merged_pool_kernel
 from repro.matrices.features import extract_features
 
 
@@ -21,7 +22,7 @@ def test_table1_single_class_mapping(pool, banded_csr):
 def test_empty_classes_select_nothing(pool, banded_csr):
     f = extract_features(banded_csr)
     assert pool.select(frozenset(), f) == ()
-    kernel = pool.kernel_for(frozenset(), f)
+    kernel = merged_pool_kernel(pool.select(frozenset(), f))
     assert kernel.name == "csr"
 
 
@@ -50,9 +51,9 @@ def test_joint_application(pool, skewed_csr):
         {Bottleneck.ML, Bottleneck.IMB, Bottleneck.CMP}, f
     )
     assert set(names) == {"prefetching", "decomposition", "unrolling"}
-    kernel = pool.kernel_for(
+    kernel = merged_pool_kernel(pool.select(
         {Bottleneck.ML, Bottleneck.IMB, Bottleneck.CMP}, f
-    )
+    ))
     cfg = kernel.config
     assert cfg.prefetch and cfg.decompose and cfg.unroll and cfg.vectorize
 

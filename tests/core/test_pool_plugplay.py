@@ -13,6 +13,7 @@ import pytest
 from repro.core import AdaptiveSpMV, Bottleneck, OptimizationPool
 from repro.kernels import (
     SpMVConfig,
+    merged_pool_kernel,
     pool_kernel,
     register_pool_optimization,
     registered_pool_names,
@@ -52,7 +53,7 @@ def test_override_mb_mapping(custom_name, banded_csr):
     pool = OptimizationPool().override(MB=custom_name)
     f = extract_features(banded_csr)
     assert pool.select({Bottleneck.MB}, f) == (custom_name,)
-    kernel = pool.kernel_for({Bottleneck.MB}, f)
+    kernel = merged_pool_kernel(pool.select({Bottleneck.MB}, f))
     assert kernel.config.delta_width == 16
 
 

@@ -15,7 +15,7 @@ from repro import (
     named_matrix,
     training_suite,
 )
-from repro.machine import ExecutionEngine
+from repro.model import AnalyticModel
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def test_profile_optimizer_on_every_suite_archetype(platform):
     optimizer must never be dramatically worse than the baseline and
     the numeric result must stay exact."""
     rng = np.random.default_rng(0)
-    engine = ExecutionEngine(platform)
+    model = AnalyticModel(platform)
     base = baseline_kernel()
     opt = AdaptiveSpMV(platform, classifier="profile")
     for name in ("consph", "poisson3Db", "ASIC_680k", "webbase-1M"):
@@ -45,7 +45,7 @@ def test_profile_optimizer_on_every_suite_archetype(platform):
             operator.matvec(x), csr.matvec(x), rtol=1e-12, atol=1e-10
         )
         r_opt = operator.simulate()
-        r_base = engine.run(base, base.preprocess(csr))
+        r_base = model.run(base, base.preprocess(csr))
         assert r_opt.gflops > 0.9 * r_base.gflops, (name, platform.codename)
 
 

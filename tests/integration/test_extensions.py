@@ -13,10 +13,11 @@ from repro.core import (
     ExtendedProfileClassifier,
     OptimizationPool,
 )
-from repro.machine import ExecutionEngine, KNC
+from repro.machine import KNC
 from repro.kernels import baseline_kernel
 from repro.matrices import named_matrix
 from repro.matrices.generators import fem_like
+from repro.model import AnalyticModel
 
 
 def test_extended_classifier_improves_rajat30_performance():
@@ -68,9 +69,9 @@ def test_bcsr_override_never_selected_without_mb(banded_csr):
 
 def test_extensions_do_not_regress_regular_matrices():
     csr = named_matrix("consph", scale=0.5)
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
-    r_base = engine.run(base, base.preprocess(csr))
+    r_base = model.run(base, base.preprocess(csr))
     ext = AdaptiveSpMV(
         KNC, classifier=ExtendedProfileClassifier(KNC)
     ).optimize(csr)

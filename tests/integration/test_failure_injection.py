@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from repro import (
-    AdaptiveSpMV,
-    CSRMatrix,
-    ExecutionEngine,
-    FeatureGuidedClassifier,
     KNL,
+    AdaptiveSpMV,
+    AnalyticModel,
+    CSRMatrix,
+    FeatureGuidedClassifier,
     baseline_kernel,
-    measure_bounds,
 )
 from repro.formats import COOMatrix
 from repro.sched import Partition, balanced_nnz
@@ -32,9 +31,9 @@ def test_nan_values_flow_through_numerics_not_model(banded_csr):
     )
     y = poisoned.matvec(np.ones(poisoned.ncols))
     assert np.isnan(y[0])
-    engine = ExecutionEngine(KNL, nthreads=8)
+    model = AnalyticModel(KNL, nthreads=8)
     base = baseline_kernel()
-    r = engine.run(base, base.preprocess(poisoned))
+    r = model.run(base, base.preprocess(poisoned))
     assert np.isfinite(r.seconds)
 
 
@@ -43,17 +42,17 @@ def test_empty_matrix_rejected_by_analysis_accepted_by_numerics():
                       (2, 3))
     np.testing.assert_array_equal(empty.matvec(np.ones(3)), [0.0, 0.0])
     with pytest.raises(ValueError):
-        measure_bounds(empty, KNL)
+        AnalyticModel(KNL).bounds(empty)
     with pytest.raises(ValueError):
         AdaptiveSpMV(KNL, classifier="profile").optimize(empty)
 
 
 def test_mismatched_partition_rejected(banded_csr, skewed_csr):
     base = baseline_kernel()
-    engine = ExecutionEngine(KNL, nthreads=4)
+    model = AnalyticModel(KNL, nthreads=4)
     wrong = balanced_nnz(skewed_csr, 4)
     with pytest.raises(ValueError):
-        engine.run(base, base.preprocess(banded_csr), wrong)
+        model.run(base, base.preprocess(banded_csr), wrong)
 
 
 def test_partition_with_foreign_thread_ids_rejected():

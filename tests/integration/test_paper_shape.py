@@ -14,12 +14,12 @@ from repro.core import (
     AdaptiveSpMV,
     Bottleneck,
     classify_from_bounds,
-    measure_bounds,
     oracle_search,
 )
 from repro.kernels import baseline_kernel, single_optimization_kernels
-from repro.machine import BROADWELL, ExecutionEngine, KNC, KNL
+from repro.machine import BROADWELL, KNC, KNL
 from repro.matrices import load_suite, named_matrix
+from repro.model import AnalyticModel
 
 # Full-scale analogues: the bottleneck regimes (cache residency, x
 # working set vs private caches) only match the paper's at full size.
@@ -41,21 +41,22 @@ def suite():
 @pytest.fixture(scope="module")
 def knc_bounds(suite):
     return {
-        name: measure_bounds(csr, KNC) for name, (spec, csr) in suite.items()
+        name: AnalyticModel(KNC).bounds(csr)
+        for name, (spec, csr) in suite.items()
     }
 
 
 def test_fig1_shape_every_optimization_has_winners_and_losers(suite):
     """Fig. 1: each optimization speeds up some matrix and slows down
     another — the motivation for adaptivity."""
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
     singles = single_optimization_kernels()
     speedups = {name: [] for name in singles}
     for _, csr in suite.values():
-        r0 = engine.run(base, base.preprocess(csr))
+        r0 = model.run(base, base.preprocess(csr))
         for name, kernel in singles.items():
-            r = engine.run(kernel, kernel.preprocess(csr))
+            r = model.run(kernel, kernel.preprocess(csr))
             speedups[name].append(r.gflops / r0.gflops)
     for name in ("prefetching", "auto-sched"):
         assert max(speedups[name]) > 1.15, name
@@ -89,8 +90,8 @@ def test_classes_differ_across_platforms(suite):
     human_gene1 flips class between KNC and KNL in the paper)."""
     diffs = 0
     for name, (spec, csr) in suite.items():
-        knc = classify_from_bounds(measure_bounds(csr, KNC))
-        bdw = classify_from_bounds(measure_bounds(csr, BROADWELL))
+        knc = classify_from_bounds(AnalyticModel(KNC).bounds(csr))
+        bdw = classify_from_bounds(AnalyticModel(BROADWELL).bounds(csr))
         if knc != bdw:
             diffs += 1
     assert diffs >= 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.kernels import BCSRSpMV, merged_pool_kernel, pool_kernel
-from repro.machine import ExecutionEngine, KNC
+from repro.machine import KNC
+from repro.model import AnalyticModel
 
 
 def test_registered_as_pool_optimization():
@@ -32,9 +33,9 @@ def test_single_name_merge_returns_kernel():
 
 
 def test_engine_run(banded_csr):
-    engine = ExecutionEngine(KNC, nthreads=32)
+    model = AnalyticModel(KNC, nthreads=32)
     kernel = BCSRSpMV(block=2)
-    r = engine.run(kernel, kernel.preprocess(banded_csr))
+    r = model.run(kernel, kernel.preprocess(banded_csr))
     assert r.gflops > 0
     assert np.isfinite(r.seconds)
 
@@ -44,7 +45,7 @@ def test_wins_on_block_structured_loses_on_pointwise():
     from repro.kernels import baseline_kernel
     from repro.matrices.generators import fem_like, random_uniform
 
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
     bcsr = BCSRSpMV(block=2)
 
@@ -52,8 +53,8 @@ def test_wins_on_block_structured_loses_on_pointwise():
     point = random_uniform(40_000, nnz_per_row=10.0, seed=2)
 
     def ratio(csr):
-        r0 = engine.run(base, base.preprocess(csr))
-        r1 = engine.run(bcsr, bcsr.preprocess(csr))
+        r0 = model.run(base, base.preprocess(csr))
+        r1 = model.run(bcsr, bcsr.preprocess(csr))
         return r1.gflops / r0.gflops
 
     assert ratio(blocked) > 1.2

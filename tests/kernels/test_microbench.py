@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.kernels import RegularizedColindSpMV, UnitStrideSpMV, baseline_kernel
-from repro.machine import ExecutionEngine, KNC
+from repro.machine import KNC
+from repro.model import AnalyticModel
 from repro.sched import balanced_nnz
 
 
@@ -48,11 +49,11 @@ def test_bounds_dominate_baseline_on_scattered():
     from repro.matrices.generators import random_uniform
 
     csr = random_uniform(120_000, nnz_per_row=20.0, seed=9)
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
-    p_csr = engine.run(base, base.preprocess(csr)).gflops
-    p_ml = engine.run(RegularizedColindSpMV(), csr).gflops
-    p_cmp = engine.run(UnitStrideSpMV(), csr).gflops
+    p_csr = model.run(base, base.preprocess(csr)).gflops
+    p_ml = model.run(RegularizedColindSpMV(), csr).gflops
+    p_cmp = model.run(UnitStrideSpMV(), csr).gflops
     assert p_ml > 1.5 * p_csr
     assert p_cmp > p_csr
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.kernels import SellCSigmaSpMV, baseline_kernel, pool_kernel
-from repro.machine import ExecutionEngine, KNC
+from repro.machine import KNC
+from repro.model import AnalyticModel
 
 
 def test_registered_in_pool():
@@ -22,9 +23,9 @@ def test_numeric_exactness(small_random_csr, x300):
 
 
 def test_engine_run(banded_csr):
-    engine = ExecutionEngine(KNC, nthreads=32)
+    model = AnalyticModel(KNC, nthreads=32)
     k = SellCSigmaSpMV(chunk=8)
-    r = engine.run(k, k.preprocess(banded_csr))
+    r = model.run(k, k.preprocess(banded_csr))
     assert r.gflops > 0 and np.isfinite(r.seconds)
 
 
@@ -33,13 +34,13 @@ def test_wins_on_uniform_rows_loses_on_power_law():
     padding explosion on heavy-tailed ones."""
     from repro.matrices.generators import banded, power_law
 
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
     sell = SellCSigmaSpMV(chunk=8)
 
     def ratio(csr):
-        r0 = engine.run(base, base.preprocess(csr))
-        r1 = engine.run(sell, sell.preprocess(csr))
+        r0 = model.run(base, base.preprocess(csr))
+        r1 = model.run(sell, sell.preprocess(csr))
         return r1.gflops / r0.gflops
 
     regular = banded(60_000, nnz_per_row=9, bandwidth=20, seed=51)

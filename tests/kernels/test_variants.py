@@ -7,7 +7,8 @@ import pytest
 
 from repro.formats import DecomposedCSR, DeltaCSR
 from repro.kernels import ConfiguredSpMV, SpMVConfig, baseline_kernel
-from repro.machine import ExecutionEngine, KNC
+from repro.machine import KNC
+from repro.model import AnalyticModel
 
 
 ALL_FLAG_COMBOS = [
@@ -36,10 +37,10 @@ def test_schedules_do_not_change_numerics(schedule, small_random_csr, x300):
 
 
 def test_every_variant_costs_and_runs(skewed_csr):
-    engine = ExecutionEngine(KNC, nthreads=32)
+    model = AnalyticModel(KNC, nthreads=32)
     for flags in ALL_FLAG_COMBOS:
         kernel = ConfiguredSpMV(SpMVConfig(**flags))
-        r = engine.run(kernel, kernel.preprocess(skewed_csr))
+        r = model.run(kernel, kernel.preprocess(skewed_csr))
         assert r.gflops > 0, flags
         assert np.isfinite(r.seconds)
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.kernels import ConfiguredSpMV, SpMVConfig, baseline_kernel
-from repro.machine import ExecutionEngine, KNL
+from repro.machine import KNL
+from repro.model import AnalyticModel
 from repro.sched import balanced_nnz
 
 
@@ -25,9 +26,9 @@ def huge_row_matrix():
 
 
 def test_dynamic_floored_by_largest_row(huge_row_matrix):
-    engine = ExecutionEngine(KNL)
+    model = AnalyticModel(KNL)
     dyn = ConfiguredSpMV(SpMVConfig(schedule="dynamic"))
-    r = engine.run(dyn, dyn.preprocess(huge_row_matrix))
+    r = model.run(dyn, dyn.preprocess(huge_row_matrix))
 
     # compute the single-row cost directly from the cost plane
     base = baseline_kernel()
@@ -44,22 +45,22 @@ def test_dynamic_floored_by_largest_row(huge_row_matrix):
 
 def test_decomposition_beats_dynamic_on_huge_rows(huge_row_matrix):
     """The pool design choice the floor encodes."""
-    engine = ExecutionEngine(KNL)
+    model = AnalyticModel(KNL)
     dyn = ConfiguredSpMV(SpMVConfig(schedule="dynamic"))
     dec = ConfiguredSpMV(SpMVConfig(decompose=True))
-    r_dyn = engine.run(dyn, dyn.preprocess(huge_row_matrix))
-    r_dec = engine.run(dec, dec.preprocess(huge_row_matrix))
+    r_dyn = model.run(dyn, dyn.preprocess(huge_row_matrix))
+    r_dec = model.run(dec, dec.preprocess(huge_row_matrix))
     assert r_dec.gflops > 2.0 * r_dyn.gflops
 
 
 def test_dynamic_still_helps_on_moderate_skew(skewed_csr):
     """With no single dominating row, the floor is harmless and dynamic
     still balances better than static row blocks."""
-    engine = ExecutionEngine(KNL, nthreads=32)
+    model = AnalyticModel(KNL, nthreads=32)
     static = ConfiguredSpMV(SpMVConfig(schedule="static-rows"))
     dyn = ConfiguredSpMV(SpMVConfig(schedule="dynamic"))
-    r_static = engine.run(static, static.preprocess(skewed_csr))
-    r_dyn = engine.run(dyn, dyn.preprocess(skewed_csr))
+    r_static = model.run(static, static.preprocess(skewed_csr))
+    r_dyn = model.run(dyn, dyn.preprocess(skewed_csr))
     assert r_dyn.imbalance <= r_static.imbalance
 
 

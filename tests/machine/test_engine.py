@@ -1,10 +1,11 @@
-"""Unit tests for the execution engine's time model."""
+"""Unit tests for the simulator's time model (``AnalyticModel.run``)."""
 
 import numpy as np
 import pytest
 
 from repro.kernels import baseline_kernel, ConfiguredSpMV, SpMVConfig
-from repro.machine import ExecutionEngine, KernelCost, KNC, RunResult
+from repro.machine import KernelCost, KNC, RunResult
+from repro.model import AnalyticModel
 from repro.sched import Partition, balanced_nnz
 
 
@@ -36,8 +37,8 @@ class _StubKernel:
 
 def _run(cost, machine=KNC):
     T = cost.compute_cycles.size
-    engine = ExecutionEngine(machine, nthreads=T)
-    return engine.run(_StubKernel(cost), None)
+    model = AnalyticModel(machine, nthreads=T)
+    return model.run(_StubKernel(cost), None)
 
 
 def test_compute_bound_time():
@@ -104,58 +105,51 @@ def test_run_result_properties():
 
 
 def test_engine_runs_real_kernel(banded_csr):
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     kernel = baseline_kernel()
-    r = engine.run(kernel, kernel.preprocess(banded_csr))
+    r = model.run(kernel, kernel.preprocess(banded_csr))
     assert r.nthreads == 228
     assert r.gflops > 0
     assert r.thread_seconds.shape == (228,)
 
 
 def test_explicit_partition_respected(banded_csr):
-    engine = ExecutionEngine(KNC, nthreads=16)
+    model = AnalyticModel(KNC, nthreads=16)
     kernel = baseline_kernel()
     part = balanced_nnz(banded_csr, 16)
-    r = engine.run(kernel, kernel.preprocess(banded_csr), part)
+    r = model.run(kernel, kernel.preprocess(banded_csr), part)
     assert r.nthreads == 16
 
 
 def test_fewer_threads_usually_slower(banded_csr):
     kernel = baseline_kernel()
     data = kernel.preprocess(banded_csr)
-    full = ExecutionEngine(KNC).run(kernel, data)
-    r4 = ExecutionEngine(KNC, nthreads=4).run(kernel, data)
+    full = AnalyticModel(KNC).run(kernel, data)
+    r4 = AnalyticModel(KNC, nthreads=4).run(kernel, data)
     assert r4.seconds > full.seconds
-
-
-def test_measure_protocol_matches_run(banded_csr):
-    engine = ExecutionEngine(KNC)
-    kernel = baseline_kernel()
-    data = kernel.preprocess(banded_csr)
-    r = engine.run(kernel, data)
-    m = engine.measure(kernel, data, iterations=128, runs=5)
-    assert m.gflops == pytest.approx(r.gflops, rel=1e-9)
-
-
-def test_measure_validates_args(banded_csr):
-    engine = ExecutionEngine(KNC)
-    kernel = baseline_kernel()
-    with pytest.raises(ValueError):
-        engine.measure(kernel, kernel.preprocess(banded_csr), iterations=0)
 
 
 def test_dynamic_schedule_balances(skewed_csr):
     kernel_static = ConfiguredSpMV(SpMVConfig(schedule="static-rows"))
     kernel_dyn = ConfiguredSpMV(SpMVConfig(schedule="dynamic"))
-    engine = ExecutionEngine(KNC)
-    r_static = engine.run(kernel_static, kernel_static.preprocess(skewed_csr))
-    r_dyn = engine.run(kernel_dyn, kernel_dyn.preprocess(skewed_csr))
+    model = AnalyticModel(KNC)
+    r_static = model.run(kernel_static, kernel_static.preprocess(skewed_csr))
+    r_dyn = model.run(kernel_dyn, kernel_dyn.preprocess(skewed_csr))
     assert r_dyn.imbalance <= r_static.imbalance
 
 
-def test_invalid_thread_count():
+def test_invalid_thread_count(banded_csr):
     with pytest.raises(ValueError):
-        ExecutionEngine(KNC, nthreads=0)
+        AnalyticModel(KNC, nthreads=0)
+    kernel = baseline_kernel()
+    data = kernel.preprocess(banded_csr)
+    with pytest.raises(ValueError):
+        AnalyticModel(KNC).run(kernel, data, nthreads=0)
+    # an explicit partition fixes the width, but the count is still
+    # validated per call
+    with pytest.raises(ValueError):
+        AnalyticModel(KNC).run(kernel, data, balanced_nnz(banded_csr, 4),
+                               nthreads=0)
 
 
 def test_kernel_cost_validation():

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.kernels import baseline_kernel
-from repro.machine import ExecutionEngine, KNC, KNL, BROADWELL
+from repro.machine import KNC, KNL, BROADWELL
 from repro.machine.roofline import (
     attainable_gflops,
     peak_gflops,
     ridge_point,
     roofline_point,
 )
+from repro.model import AnalyticModel
 
 
 def test_peak_ordering_across_platforms():
@@ -38,9 +39,9 @@ def test_attainable_validates_intensity():
 
 def test_spmv_is_memory_bound_on_roofline(banded_csr):
     """The paper's premise: CSR SpMV sits far left of the ridge."""
-    engine = ExecutionEngine(KNC)
+    model = AnalyticModel(KNC)
     base = baseline_kernel()
-    r = engine.run(base, base.preprocess(banded_csr))
+    r = model.run(base, base.preprocess(banded_csr))
     point = roofline_point(r, KNC)
     assert point.bound == "memory"
     assert point.intensity < 1.0         # flop:byte < 1, paper §II

@@ -1,5 +1,6 @@
-"""AnalyticModel: protocol conformance, equivalence with the engine it
-absorbed, and the sanity properties every cost model must satisfy."""
+"""AnalyticModel: protocol conformance and the sanity properties every
+cost model must satisfy (bitwise equality with the reference time
+model is in ``test_simulator_reference.py``)."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import baseline_kernel
-from repro.machine import BROADWELL, KNL, ExecutionEngine
+from repro.machine import BROADWELL, KNL
 from repro.matrices.generators import banded
 from repro.model import AnalyticModel, CostModel, Prediction
 
@@ -19,36 +20,6 @@ def csr():
 
 def test_satisfies_protocol():
     assert isinstance(AnalyticModel(KNL), CostModel)
-
-
-def test_run_matches_execution_engine_exactly(csr):
-    """The model IS the engine behind the protocol: same numbers."""
-    kernel = baseline_kernel()
-    data = kernel.preprocess(csr)
-    model = AnalyticModel(KNL, 8)
-    legacy = ExecutionEngine(KNL, 8).run(kernel, data)
-    ours = model.run(kernel, data)
-    assert ours.seconds == legacy.seconds
-    assert ours.gflops == legacy.gflops
-    np.testing.assert_array_equal(ours.thread_seconds,
-                                  legacy.thread_seconds)
-
-
-def test_bounds_match_legacy_measure_bounds(csr):
-    from repro.core import measure_bounds
-
-    direct = AnalyticModel(KNL).bounds(csr)
-    shim = measure_bounds(csr, KNL)
-    assert direct.as_dict() == shim.as_dict()
-
-
-def test_engine_memoized_per_thread_count():
-    model = AnalyticModel(KNL, 4)
-    assert model.engine() is model.engine()
-    assert model.engine(2) is model.engine(2)
-    assert model.engine(2) is not model.engine(4)
-    # explicit nthreads equal to the default shares the default engine
-    assert model.engine(4) is model.engine()
 
 
 def test_predict_decomposition(csr):

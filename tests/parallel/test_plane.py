@@ -1,4 +1,4 @@
-"""The shared-memory parallel plane: bit-identity, contracts, telemetry.
+"""The parallel executor: bit-identity, contracts, telemetry.
 
 The headline invariant: a parallel matvec over contiguous row chunks is
 *bit-identical* to the serial kernel for every format, schedule policy
@@ -11,7 +11,12 @@ granularity (``row_align``).
 import numpy as np
 import pytest
 
-from repro.engine import ExecutorSpec, GuardedKernel, build_executor
+from repro.engine import (
+    ExecutorSpec,
+    GuardedKernel,
+    ParallelExecutor,
+    build_executor,
+)
 from repro.kernels import (
     ConfiguredSpMV,
     SpMVConfig,
@@ -22,7 +27,6 @@ from repro.kernels.bcsr import BCSRSpMV
 from repro.kernels.sellcs import SellCSigmaSpMV
 from repro.parallel import (
     ParallelConfig,
-    ParallelKernel,
     active_worker_counts,
     get_executor,
 )
@@ -58,8 +62,7 @@ def test_matvec_bit_identical_every_kernel(name, kernel, nthreads,
                                            matrix, rng):
     x = rng.standard_normal(matrix.ncols)
     serial = kernel.apply(kernel.preprocess(matrix), x)
-    pk = ParallelKernel(kernel, nthreads=nthreads)
-    got = pk.apply(pk.preprocess(matrix), x)
+    got = ParallelExecutor(matrix, kernel, nthreads=nthreads).apply(x)
     np.testing.assert_array_equal(got, serial)
 
 
@@ -70,10 +73,10 @@ def test_matvec_bit_identical_every_schedule(schedule, nthreads,
     x = rng.standard_normal(skewed_csr.ncols)
     kernel = baseline_kernel()
     serial = kernel.apply(kernel.preprocess(skewed_csr), x)
-    pk = ParallelKernel(kernel, nthreads=nthreads, schedule=schedule)
-    data = pk.preprocess(skewed_csr)
+    ex = ParallelExecutor(skewed_csr, kernel, nthreads=nthreads,
+                          schedule=schedule)
     for _ in range(2):  # dynamic assignment may differ run to run
-        got = pk.apply(data, x)
+        got = ex.apply(x)
         np.testing.assert_array_equal(got, serial)
 
 
@@ -83,47 +86,41 @@ def test_matmat_matches_serial_tightly(banded_csr, rng):
     X = rng.standard_normal((banded_csr.ncols, 5))
     kernel = baseline_kernel()
     serial = kernel.apply_multi(kernel.preprocess(banded_csr), X)
-    pk = ParallelKernel(kernel, nthreads=4)
-    got = pk.apply_multi(pk.preprocess(banded_csr), X)
+    got = ParallelExecutor(banded_csr, kernel, nthreads=4).apply_multi(X)
     np.testing.assert_array_equal(got, serial)
 
 
 def test_out_buffer_contract(skewed_csr, rng):
     x = rng.standard_normal(skewed_csr.ncols)
-    pk = ParallelKernel(baseline_kernel(), nthreads=4)
-    data = pk.preprocess(skewed_csr)
+    ex = ParallelExecutor(skewed_csr, baseline_kernel(), nthreads=4)
     out = np.empty(skewed_csr.nrows)
-    got = pk.apply(data, x, out=out)
+    got = ex.apply(x, out=out)
     assert got is out
-    np.testing.assert_array_equal(out, pk.apply(data, x))
+    np.testing.assert_array_equal(out, ex.apply(x))
     with pytest.raises(ValueError):
-        pk.apply(data, x, out=np.empty(skewed_csr.nrows + 1))
+        ex.apply(x, out=np.empty(skewed_csr.nrows + 1))
 
 
 def test_row_align_snaps_boundaries(banded_csr):
     for kernel in (BCSRSpMV(block=3), SellCSigmaSpMV(chunk=4, sigma=32)):
         align = kernel.row_align
         assert align > 1
-        pk = ParallelKernel(kernel, nthreads=7)
-        data = pk.preprocess(banded_csr)
-        for chunk in data.chunks:
+        ex = ParallelExecutor(banded_csr, kernel, nthreads=7)
+        for chunk in ex.chunks:
             assert chunk.lo % align == 0 or chunk.lo == 0
             assert chunk.hi % align == 0 or chunk.hi == banded_csr.nrows
 
 
 def test_guard_composes_both_orders(skewed_csr, rng):
+    """The guard composes under the parallel executor, one guarded
+    apply per chunk; recovery of the whole parallel apply is the
+    supervised executor's serial fallback."""
     x = rng.standard_normal(skewed_csr.ncols)
     base = baseline_kernel()
     serial = base.apply(base.preprocess(skewed_csr), x)
 
-    outer = GuardedKernel(ParallelKernel(base, nthreads=4))
-    np.testing.assert_array_equal(
-        outer.apply(outer.preprocess(skewed_csr), x), serial
-    )
-    inner = ParallelKernel(GuardedKernel(base), nthreads=4)
-    np.testing.assert_array_equal(
-        inner.apply(inner.preprocess(skewed_csr), x), serial
-    )
+    inner = ParallelExecutor(skewed_csr, GuardedKernel(base), nthreads=4)
+    np.testing.assert_array_equal(inner.apply(x), serial)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -135,9 +132,9 @@ def test_guard_composes_both_orders(skewed_csr, rng):
 def test_chunks_share_callers_arrays(kernel, skewed_csr):
     """Chunks are row windows of the caller's CSR: no chunk copies
     ``colind`` or ``values``."""
-    data = ParallelKernel(kernel, nthreads=4).preprocess(skewed_csr)
-    assert len(data.chunks) == 4
-    for chunk in data.chunks:
+    ex = ParallelExecutor(skewed_csr, kernel, nthreads=4)
+    assert len(ex.chunks) == 4
+    for chunk in ex.chunks:
         inner = getattr(chunk.data, "inner", chunk.data)
         for window in (chunk.data.csr, inner.csr):
             assert window.nnz > 0
@@ -146,23 +143,21 @@ def test_chunks_share_callers_arrays(kernel, skewed_csr):
 
 
 def test_worker_exception_propagates(skewed_csr):
-    pk = ParallelKernel(baseline_kernel(), nthreads=4)
-    data = pk.preprocess(skewed_csr)
+    ex = ParallelExecutor(skewed_csr, baseline_kernel(), nthreads=4)
     with pytest.raises(ValueError):
-        pk.apply(data, np.ones(skewed_csr.ncols + 3))
+        ex.apply(np.ones(skewed_csr.ncols + 3))
 
 
 def test_measurement_recorded(skewed_csr, rng):
     x = rng.standard_normal(skewed_csr.ncols)
-    pk = ParallelKernel(baseline_kernel(), nthreads=4)
-    data = pk.preprocess(skewed_csr)
-    assert pk.last_measurement is None
-    pk.apply(data, x)
-    m = pk.last_measurement
+    ex = ParallelExecutor(skewed_csr, baseline_kernel(), nthreads=4)
+    assert ex.last_measurement is None
+    ex.apply(x)
+    m = ex.last_measurement
     assert m.nthreads == 4
     assert len(m.thread_wall_seconds) == 4
     assert len(m.thread_cpu_seconds) == 4
-    assert sum(m.chunks_per_thread) == len(data.chunks)
+    assert sum(m.chunks_per_thread) == len(ex.chunks)
     assert m.imbalance >= 1.0
     assert m.wall_imbalance >= 1.0
     assert m.wall_seconds > 0.0
@@ -173,14 +168,13 @@ def test_measurement_recorded(skewed_csr, rng):
 
 def test_dynamic_schedule_drains_queue(skewed_csr, rng):
     x = rng.standard_normal(skewed_csr.ncols)
-    pk = ParallelKernel(baseline_kernel(), nthreads=4,
-                        schedule="dynamic")
-    data = pk.preprocess(skewed_csr)
-    assert data.partition.is_dynamic
+    ex = ParallelExecutor(skewed_csr, baseline_kernel(), nthreads=4,
+                          schedule="dynamic")
+    assert ex.partition.is_dynamic
     serial = skewed_csr.matvec(x)
-    np.testing.assert_array_equal(pk.apply(data, x), serial)
-    assert sum(pk.last_measurement.chunks_per_thread) == len(data.chunks)
-    assert pk.last_measurement.dynamic
+    np.testing.assert_array_equal(ex.apply(x), serial)
+    assert sum(ex.last_measurement.chunks_per_thread) == len(ex.chunks)
+    assert ex.last_measurement.dynamic
 
 
 def test_executor_pool_reused():
@@ -217,8 +211,9 @@ def test_config_signature_stable():
 def test_oversubscribed_threads_clamp(empty_row_csr, rng):
     """More threads than (non-empty) rows must execute correctly."""
     x = rng.standard_normal(empty_row_csr.ncols)
-    pk = ParallelKernel(baseline_kernel(), nthreads=64)
-    data = pk.preprocess(empty_row_csr)
-    assert data.nthreads <= empty_row_csr.nrows
-    np.testing.assert_array_equal(pk.apply(data, x),
-                                  empty_row_csr.matvec(x))
+    ex = ParallelExecutor(empty_row_csr, baseline_kernel(), nthreads=64)
+    assert ex.nthreads <= empty_row_csr.nrows
+    assert ex.nthreads == ex.partition.nthreads
+    # the description names the requested width
+    assert ex.describe() == "parallel[t64/balanced-nnz] -> kernel[csr]"
+    np.testing.assert_array_equal(ex.apply(x), empty_row_csr.matvec(x))

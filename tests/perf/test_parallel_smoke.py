@@ -14,8 +14,8 @@ import statistics
 import numpy as np
 import pytest
 
+from repro.engine import ParallelExecutor
 from repro.kernels import baseline_kernel
-from repro.parallel import ParallelKernel
 
 #: static-rows may beat balanced-nnz only within this noise margin.
 MARGIN = 1.10
@@ -45,13 +45,12 @@ def _skewed():
 
 
 def _median_imbalance(kernel, csr, x, schedule):
-    pk = ParallelKernel(kernel, nthreads=NTHREADS, schedule=schedule)
-    data = pk.preprocess(csr)
-    pk.apply(data, x)  # warm up the pool and workspace
+    ex = ParallelExecutor(csr, kernel, nthreads=NTHREADS, schedule=schedule)
+    ex.apply(x)  # warm up the pool and workspace
     samples = []
     for _ in range(REPEATS):
-        pk.apply(data, x)
-        samples.append(pk.last_measurement.imbalance)
+        ex.apply(x)
+        samples.append(ex.last_measurement.imbalance)
     return statistics.median(samples)
 
 
@@ -79,7 +78,6 @@ def test_parallel_matvec_correct_under_smoke_load():
     csr = _skewed()
     x = np.linspace(-1.0, 1.0, csr.ncols)
     serial = csr.matvec(x)
-    pk = ParallelKernel(baseline_kernel(), nthreads=NTHREADS)
-    data = pk.preprocess(csr)
+    ex = ParallelExecutor(csr, baseline_kernel(), nthreads=NTHREADS)
     for _ in range(3):
-        np.testing.assert_array_equal(pk.apply(data, x), serial)
+        np.testing.assert_array_equal(ex.apply(x), serial)

@@ -15,9 +15,9 @@ from repro.core import (
     ALL_CLASSES,
     ProfileThresholds,
     classify_from_bounds,
-    measure_bounds,
 )
 from repro.machine import KNC, KNL
+from repro.model import AnalyticModel
 
 from .test_formats_prop import sparse_matrices
 
@@ -36,7 +36,7 @@ def nonempty_matrices(draw):
 @given(nonempty_matrices(), st.sampled_from([KNC, KNL]))
 @settings(max_examples=40, deadline=None)
 def test_bound_invariants(csr, machine):
-    b = measure_bounds(csr, machine, nthreads=8)
+    b = AnalyticModel(machine, nthreads=8).bounds(csr)
     vals = b.as_dict()
     for name, v in vals.items():
         assert np.isfinite(v) and v > 0, name
@@ -47,7 +47,7 @@ def test_bound_invariants(csr, machine):
 @given(nonempty_matrices(), st.sampled_from([KNC, KNL]))
 @settings(max_examples=40, deadline=None)
 def test_classifier_returns_valid_subset(csr, machine):
-    b = measure_bounds(csr, machine, nthreads=8)
+    b = AnalyticModel(machine, nthreads=8).bounds(csr)
     classes = classify_from_bounds(b)
     assert classes <= frozenset(ALL_CLASSES)
 
@@ -55,7 +55,7 @@ def test_classifier_returns_valid_subset(csr, machine):
 @given(nonempty_matrices())
 @settings(max_examples=30, deadline=None)
 def test_stricter_thresholds_shrink_ml_imb(csr):
-    b = measure_bounds(csr, KNC, nthreads=8)
+    b = AnalyticModel(KNC, nthreads=8).bounds(csr)
     loose = classify_from_bounds(
         b, ProfileThresholds(t_ml=1.01, t_imb=1.01)
     )
@@ -73,6 +73,6 @@ def test_stricter_thresholds_shrink_ml_imb(csr):
 @given(nonempty_matrices())
 @settings(max_examples=30, deadline=None)
 def test_bounds_deterministic(csr):
-    a = measure_bounds(csr, KNC, nthreads=8)
-    b = measure_bounds(csr, KNC, nthreads=8)
+    a = AnalyticModel(KNC, nthreads=8).bounds(csr)
+    b = AnalyticModel(KNC, nthreads=8).bounds(csr)
     assert a.as_dict() == pytest.approx(b.as_dict())

@@ -1,4 +1,4 @@
-"""Property-based tests on the execution engine's monotonicities.
+"""Property-based tests on the simulator time model's monotonicities.
 
 A sane time model must respond in the right direction to more work,
 more bandwidth, and lower latency — these invariants pin the model so
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import ExecutionEngine, KNC, KernelCost
+from repro.machine import KNC, KernelCost
+from repro.model import AnalyticModel
 from repro.sched import Partition
 
 
@@ -38,7 +39,7 @@ class _Stub:
 def _run(cost, machine=KNC):
     T = cost.compute_cycles.size
     part = Partition(T, np.arange(T, dtype=np.int32))
-    return ExecutionEngine(machine, nthreads=T).run(_Stub(cost), None, part)
+    return AnalyticModel(machine, nthreads=T).run(_Stub(cost), None, part)
 
 
 _pos = st.floats(1.0, 1e12, allow_nan=False, allow_infinity=False)
