@@ -19,7 +19,9 @@
 # degraded within the deadline budget instead of blocking the caller,
 # and finally the composable-engine smoke: a permutation matrix through
 # the full guard+supervision stack on 2 threads (warnings as errors)
-# plus the CLI engine-spec round-trip check, then the calibration
+# plus the CLI engine-spec round-trip check and a guarded supervised
+# `repro-spmv run` (its exit status is the bit-identity check against
+# serial CSR; its stack line must show the guard), then the calibration
 # smoke: `repro-spmv calibrate --quick` writes a host MachineProfile,
 # a CalibratedModel plan folds it into the cache key, and the pytest
 # smoke asserts execute spans carry predicted/measured Gflop/s and
@@ -57,6 +59,11 @@ PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning \
 PYTHONPATH=src python -m repro.cli plan smallfem --explain \
     | grep -q "engine-spec round-trip: ok" \
     || { echo "check: engine-spec round-trip FAILED" >&2; exit 1; }
+run_out="$(PYTHONPATH=src python -m repro.cli run smallfem \
+    --engine-spec guard,threads=2,supervise)" \
+    || { echo "check: guarded supervised run FAILED" >&2; exit 1; }
+printf '%s\n' "$run_out" | grep -q "^stack: .*guard -> kernel\[" \
+    || { echo "check: guarded supervised stack FAILED" >&2; exit 1; }
 
 echo "check: stage 9/9 calibration smoke (quick profile + calibrated plan)"
 calib_tmp="$(mktemp -d)"

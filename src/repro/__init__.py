@@ -23,7 +23,6 @@ Quickstart::
 from .baselines import InspectorExecutor, TrivialOptimizer, mkl_csr_kernel, run_mkl_csr
 from .errors import (
     FormatValidationError,
-    KernelExecutionError,
     ReproError,
     SolverBreakdownError,
     ValidationIssue,
@@ -81,7 +80,6 @@ from .guard import (
     clear_quarantine,
     is_quarantined,
     quarantined_kernel_names,
-    validate_format,
 )
 from .parallel import ParallelConfig, ParallelMeasurement
 from .pipeline import PipelineContext, PipelineRunner, Tracer
@@ -175,11 +173,9 @@ __all__ = [
     # guard / error taxonomy
     "ReproError",
     "FormatValidationError",
-    "KernelExecutionError",
     "SolverBreakdownError",
     "ValidationIssue",
     "ValidationReport",
-    "validate_format",
     "GuardedKernel",
     "is_quarantined",
     "quarantined_kernel_names",

@@ -13,11 +13,8 @@ import numpy as np
 
 __all__ = [
     "check_positive",
-    "check_nonnegative",
-    "check_fraction",
     "check_in",
     "ensure_1d",
-    "ensure_dtype",
     "check_shape_2d",
 ]
 
@@ -26,20 +23,6 @@ def check_positive(name: str, value: float) -> float:
     """Validate that ``value`` is strictly positive and return it."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def check_nonnegative(name: str, value: float) -> float:
-    """Validate that ``value`` is >= 0 and return it."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_fraction(name: str, value: float) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
 
 
@@ -57,16 +40,6 @@ def ensure_1d(name: str, array: Any, dtype: Any = None) -> np.ndarray:
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
     return out
-
-
-def ensure_dtype(name: str, array: np.ndarray, dtypes: Sequence[Any]) -> np.ndarray:
-    """Validate that ``array.dtype`` is one of ``dtypes``."""
-    if array.dtype not in [np.dtype(d) for d in dtypes]:
-        raise TypeError(
-            f"{name} must have dtype in {[np.dtype(d).name for d in dtypes]}, "
-            f"got {array.dtype.name}"
-        )
-    return array
 
 
 def check_shape_2d(name: str, shape: Sequence[int]) -> tuple[int, int]:

@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--platform", default="knl",
                          choices=sorted(PLATFORMS))
     p_trace.add_argument("--scale", type=float, default=1.0)
-    p_trace.add_argument("--guard", action="store_true",
-                         help="run the kernel under the guard wrapper")
     p_trace.add_argument("-o", "--output", default="-", metavar="PATH",
                          help="trace JSON path ('-' for stdout)")
 
@@ -233,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one schedule policy (default: all)")
     p_par.add_argument("--repeats", type=int, default=3,
                        help="timing repetitions (best wall is kept)")
-    p_par.add_argument("--guard", action="store_true",
-                       help="compose the guard wrapper under the pool")
     p_par.add_argument("--deadline-ms", default=None,
                        help="per-apply deadline budget in milliseconds, "
                        "or 'auto' to derive it from the cost model's "
@@ -444,8 +440,7 @@ def _cmd_trace(args) -> int:
     csr = _load_matrix(args.matrix, args.scale)
     tracer = Tracer()
     runner = PipelineRunner(machine, tracer=tracer)
-    optimizer = AdaptiveSpMV(machine, classifier="profile",
-                             guard=args.guard)
+    optimizer = AdaptiveSpMV(machine, classifier="profile")
     _, result = runner.run_optimized(optimizer, csr)
     if args.output == "-":
         print(tracer.to_json())
@@ -565,7 +560,7 @@ def _cmd_parallel(args) -> int:
     machine = get_platform(args.platform)
     csr = _load_matrix(args.matrix, args.scale)
     kernel = baseline_kernel()
-    if args.guard or (spec is not None and spec.guard):
+    if spec is not None and spec.guard:
         from .engine import guard_kernel
 
         kernel = guard_kernel(kernel)

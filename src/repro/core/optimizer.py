@@ -8,8 +8,9 @@ stage traced and independently swappable. The stages
 2. map the detected classes to pool optimizations (Table I), jointly;
 3. charge the modeled setup (format conversion + JIT codegen) and hand
    back an :class:`OptimizedSpMV` that is both numerically executable
-   (``matvec`` / batched ``matmat``) and performance-simulatable
-   (``simulate``), with its full setup-cost accounting attached.
+   (``matvec`` / batched ``matmat``, through its plan's execution
+   stack) and performance-simulatable (``simulate``), with its full
+   setup-cost accounting attached.
 
 The decision is frozen into an :class:`OptimizationPlan` — a
 serializable IR (``to_dict``/``from_dict``, schema-versioned) — and
@@ -28,7 +29,6 @@ visible in ``OptimizationPlan.decision_seconds``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import warnings
 import zlib
@@ -52,6 +52,7 @@ from ..model import AnalyticModel
 from ..model.signature import (
     body_checksum as _body_checksum,
     matrix_fingerprint,
+    write_checksummed,
 )
 from ..pipeline import (
     PipelineContext,
@@ -59,7 +60,6 @@ from ..pipeline import (
     default_planning_stages,
     run_stages,
 )
-from ..sched import Partition
 from .classes import Bottleneck, ClassSet, format_classes
 from .feature_classifier import FeatureGuidedClassifier
 from .pool import DEFAULT_POOL, OptimizationPool
@@ -272,7 +272,7 @@ class PlanCache:
     All mutating operations take an internal lock, so one cache can be
     shared between optimizers running on different threads; the
     ``evictions`` / ``invalidations`` counters (visible in ``repr``)
-    track LRU pressure and guard-layer entry drops respectively.
+    track LRU pressure and quarantine-driven entry drops respectively.
 
     Caches survive processes: :meth:`save` writes every entry's plan IR
     (keys + serialized :class:`OptimizationPlan`) as JSON, each key's
@@ -362,13 +362,13 @@ class PlanCache:
         """Serialize every entry's key + plan IR as JSON at ``path``,
         crash-safely.
 
-        The write is atomic: the payload lands in a same-directory temp
-        file that is fsynced and then renamed over ``path``
-        (``os.replace``), so a crash mid-save leaves either the old
-        complete file or the new complete file — never a truncated
-        hybrid, and never a stray partial (the temp file is removed on
-        any write failure). The envelope carries a blake2b checksum of
-        the canonicalized body so :meth:`load` can detect silent
+        The write goes through
+        :func:`~repro.model.signature.write_checksummed`: it is atomic
+        (a same-directory temp file, fsynced, then ``os.replace``d over
+        ``path``), so a crash mid-save leaves either the old complete
+        file or the new complete file — never a truncated hybrid, and
+        never a stray partial. The envelope carries a blake2b checksum
+        of the canonicalized body so :meth:`load` can detect silent
         on-disk corruption.
 
         Each key's structure is written as :meth:`_StructureKey.to_dict`,
@@ -384,27 +384,11 @@ class PlanCache:
                  "plan": entry.plan.to_dict()}
                 for key, entry in self._entries.values()
             ]
-        body = {
+        write_checksummed(path, {
             "schema_version": CACHE_SCHEMA_VERSION,
             "maxsize": self.maxsize,
             "entries": entries,
-        }
-        payload = {"checksum": _body_checksum(body), "body": body}
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        })
         return len(entries)
 
     @classmethod
@@ -587,14 +571,18 @@ class OptimizationPlan:
 
 @dataclass
 class OptimizedSpMV:
-    """A ready-to-run optimized SpMV operator."""
+    """A ready-to-run optimized SpMV operator.
+
+    ``kernel`` and ``data`` are the plain planned kernel and its
+    preprocessed data; ``matvec``, ``matmat`` and ``@`` apply through
+    the stack of the plan's :class:`~repro.engine.ExecutorSpec`
+    (:meth:`executor`)."""
 
     csr: CSRMatrix
     kernel: ConfiguredSpMV
     data: object
     machine: MachineSpec
     plan: OptimizationPlan
-    partition: Partition | None = field(default=None, repr=False)
     #: scratch arena reused across applies; shared with the plan-cache
     #: entry that produced this operator, so repeat service keeps its
     #: warm buffers.
@@ -602,19 +590,24 @@ class OptimizedSpMV:
     #: the :class:`~repro.model.base.CostModel` predictions run through
     #: (None falls back to a fresh analytic model on first use).
     model: object | None = field(default=None, repr=False)
+    _stack: object | None = field(default=None, init=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.csr.shape
 
     def executor(self, spec: ExecutorSpec | None = None, *, tracer=None):
-        """Assemble the full engine stack for the planned kernel.
+        """The engine stack that runs the planned kernel.
 
-        Defaults to the plan's own :class:`~repro.engine.ExecutorSpec`
-        (``plan.executor_spec``), sharing this operator's warm
-        workspace arena; pass ``spec=`` to compose a different stack
-        over the same planned kernel and data.
+        Without arguments: the stack of the plan's own
+        :class:`~repro.engine.ExecutorSpec`, built on first use over
+        this operator's warm workspace arena and kept; ``matvec`` runs
+        it. ``spec=`` or ``tracer=`` compose a separate stack over the
+        same planned kernel and data.
         """
+        own = spec is None and tracer is None
+        if own and self._stack is not None:
+            return self._stack
         from ..engine import build_executor
 
         if spec is None:
@@ -625,36 +618,35 @@ class OptimizedSpMV:
             # asks for thread-local isolation gets a fresh arena rather
             # than a silently-shared one.
             arena = None
-        return build_executor(self.csr, spec, kernel=self.kernel,
-                              data=self.data, tracer=tracer,
-                              workspace=arena)
+        stack = build_executor(self.csr, spec, kernel=self.kernel,
+                               data=self.data, tracer=tracer,
+                               workspace=arena)
+        if own:
+            self._stack = stack
+        return stack
 
     def matvec(self, x: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-        """Numerically compute ``A @ x`` through the optimized kernel.
+        """Numerically compute ``A @ x`` through the plan's stack.
 
         With ``out=`` the result lands in the caller-owned buffer and,
         after a warm-up apply populates the operator's workspace, the
         steady state allocates no new arrays."""
-        return self.kernel.apply(self.data, x, out=out,
-                                 workspace=self.workspace)
+        return self.executor().apply(x, out=out)
 
     def matmat(self, X: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
         """Batched ``A @ X`` for ``X`` of shape ``(ncols, k)`` through
-        the kernel's multi-RHS plane."""
-        return self.kernel.apply_multi(self.data, X, out=out,
-                                       workspace=self.workspace)
+        the plan's stack."""
+        return self.executor().apply_multi(X, out=out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.matmat(x)
-        return self.matvec(x)
+        return self.executor() @ x
 
     def simulate(self, nthreads: int | None = None) -> RunResult:
-        """Predicted execution on the target machine, through the
-        operator's cost model (calibrated when planned that way).
+        """Predicted execution of the planned kernel on the target
+        machine, through the operator's cost model (calibrated when
+        planned that way).
 
         ``nthreads=None`` means the machine's full thread count — the
         pre-model default — independent of the model's own default, so
@@ -665,8 +657,7 @@ class OptimizedSpMV:
             self.model = AnalyticModel(self.machine)
         if nthreads is None:
             nthreads = self.machine.total_threads
-        return self.model.run(self.kernel, self.data, self.partition,
-                              nthreads=nthreads)
+        return self.model.run(self.kernel, self.data, nthreads=nthreads)
 
 
 class AdaptiveSpMV:
@@ -688,22 +679,19 @@ class AdaptiveSpMV:
         revived via :meth:`PlanCache.load`) to pool decisions across
         optimizers or warm-start across processes, or ``False`` to
         disable caching.
-    guard
-        When true, the selected kernel is wrapped in the engine's
-        :class:`~repro.engine.GuardedKernel`: runtime faults quarantine
-        the variant and fall back to the reference CSR numeric plane
-        instead of escaping. Independently of ``guard``, the optimizer
-        never *plans* an already-quarantined variant (it substitutes
-        the baseline kernel and notes the skipped name in
-        ``OptimizationPlan.quarantined``), and cached entries whose
-        kernel has since been quarantined are invalidated on lookup.
     spec
-        A full :class:`~repro.engine.ExecutorSpec` describing the
-        execution stack plans should carry. Subsumes the ``guard`` /
-        ``parallel`` shorthands (which are folded in when ``spec`` is
-        omitted); the spec is recorded on every built plan
-        (``plan.executor_spec``) and its non-observability axes
-        partition the plan-cache keys.
+        The :class:`~repro.engine.ExecutorSpec` every built plan
+        carries (``plan.executor_spec``; default: a bare serial stack).
+        The optimizer plans and caches plain kernels; each operator's
+        :meth:`OptimizedSpMV.executor` applies the spec, guard
+        included. Its parallel, supervision and workspace axes
+        partition the plan-cache keys; its guard and trace axes do not,
+        so guarded and unguarded optimizers share entries. Whatever the
+        spec, the optimizer never *plans* an already-quarantined
+        variant (it substitutes the baseline kernel and notes the
+        skipped name in ``OptimizationPlan.quarantined``), and cached
+        entries whose kernel has since been quarantined are invalidated
+        on lookup.
     stages
         The planning pipeline to compose (default:
         :func:`~repro.pipeline.stages.default_planning_stages`, i.e.
@@ -726,9 +714,7 @@ class AdaptiveSpMV:
         pool: OptimizationPool | None = None,
         nthreads: int | None = None,
         plan_cache: "PlanCache | None | bool" = None,
-        guard: bool = False,
         stages=None,
-        parallel=None,
         spec: ExecutorSpec | None = None,
         model=None,
     ):
@@ -745,31 +731,17 @@ class AdaptiveSpMV:
         #: the :class:`~repro.model.base.CostModel` behind every
         #: prediction this optimizer makes.
         self.model = model
-        if parallel is not None and not hasattr(parallel, "signature"):
-            raise TypeError(
-                "parallel must be a repro.parallel.ParallelConfig "
-                "(or any object with a signature() method), got "
-                f"{type(parallel).__name__}"
-            )
         if spec is None:
-            spec = ExecutorSpec(guard=bool(guard), parallel=parallel)
-        else:
-            if not isinstance(spec, ExecutorSpec):
-                raise TypeError(
-                    "spec must be a repro.engine.ExecutorSpec, got "
-                    f"{type(spec).__name__}"
-                )
-            # The shorthands compose *into* an explicit spec rather
-            # than silently losing against it.
-            if guard and not spec.guard:
-                spec = replace(spec, guard=True)
-            if parallel is not None and spec.parallel is None:
-                spec = replace(spec, parallel=parallel)
+            spec = ExecutorSpec()
+        elif not isinstance(spec, ExecutorSpec):
+            raise TypeError(
+                "spec must be a repro.engine.ExecutorSpec, got "
+                f"{type(spec).__name__}"
+            )
         #: the :class:`~repro.engine.ExecutorSpec` recorded on every
         #: plan this optimizer builds; its parallel/supervision/
         #: workspace axes partition the plan-cache keys.
         self.spec = spec
-        self.guard = spec.guard
         self.stages = (
             tuple(stages) if stages is not None
             else default_planning_stages()
@@ -827,8 +799,8 @@ class AdaptiveSpMV:
         """Content string of the execution configuration axis.
 
         Delegates to :meth:`~repro.engine.ExecutorSpec.cache_signature`,
-        which excludes the guard/trace axes (guarding re-wraps on
-        lookup, tracing is observability), and appends the cost
+        which excludes the guard/trace axes (entries hold plain
+        kernels; tracing is observability), and appends the cost
         model's :meth:`~repro.model.base.CostModel.signature`, so a
         calibrated model's profile digest partitions the cache and
         recalibration invalidates stale plans.
@@ -846,7 +818,6 @@ class AdaptiveSpMV:
             classifier=self._classifier,
             classifier_kind=self.classifier_kind,
             pool=self.pool,
-            guard=self.guard,
             materialize=materialize,
             nthreads=self.nthreads,
             spec=self.spec,
@@ -860,9 +831,9 @@ class AdaptiveSpMV:
 
         A cached entry whose kernel has since been quarantined is stale:
         it is invalidated here and reported as a miss so the plan is
-        redone against the current quarantine list. Entries revived
-        from disk (or shared with an unguarded optimizer) are re-wrapped
-        in the guard when this optimizer guards.
+        redone against the current quarantine list. A lookup never
+        writes an entry: entries hold the plain planned kernel whatever
+        the spec of the optimizer that stored them.
         """
         if self.plan_cache is None:
             return None, None
@@ -877,15 +848,6 @@ class AdaptiveSpMV:
             self.plan_cache.invalidate(key)
             entry = None
             invalidated = True
-        if entry is not None and self.guard:
-            from ..engine import guard_kernel
-
-            guarded = guard_kernel(entry.kernel)
-            if guarded is not entry.kernel:
-                # Revived/shared entry planned without the guard: wrap
-                # it; the guarded setup is charged on its first hit.
-                entry = _CacheEntry(entry.plan, guarded)
-                self.plan_cache.store(key, entry)
         if tracer is not None:
             tracer.record(
                 "cache",
@@ -907,9 +869,9 @@ class AdaptiveSpMV:
         own_tracer = tracer if tracer is not None else Tracer()
         key, entry = self._lookup(csr, own_tracer)
         if entry is not None:
-            # A hit serves *this* optimizer's execution stack (the
-            # cached decision is shared; e.g. a guarded optimizer hits
-            # an unguarded entry and re-wraps on lookup).
+            # A hit carries *this* optimizer's spec: the cached
+            # decision is shared by optimizers whose specs differ only
+            # in the guard and trace axes.
             plan = replace(entry.plan, decision_seconds=0.0,
                            cache_hit=True, executor_spec=self.spec)
             # The retained setup forecast is charged to the cache span

@@ -6,7 +6,7 @@ zero-allocation ``out=``/``workspace=`` contract of the formats and
 kernels. Each execution mode has exactly one executor class:
 
 * :class:`KernelExecutor` — run one preprocessed kernel serially (the
-  engine's leaf; what ``OptimizedSpMV.matvec`` executes through);
+  engine's leaf);
 * :class:`ParallelExecutor` — run the kernel's partition on the
   shared-memory thread pool, one preprocessed row window per chunk,
   bit-identical to serial by construction;
@@ -19,7 +19,8 @@ The guard works at kernel granularity
 (:class:`~repro.engine.guard.GuardedKernel`) so it composes under the
 parallel plane. :func:`build_executor` is the only place a stack is
 assembled, in the one canonical order, from a declarative
-:class:`~repro.engine.spec.ExecutorSpec`::
+:class:`~repro.engine.spec.ExecutorSpec` — and so the only place a
+spec's guard is applied::
 
     trace( workspace( supervised|parallel|kernel( guard(kernel) ) ) )
 
@@ -489,8 +490,8 @@ def build_executor(csr: CSRMatrix, spec: ExecutorSpec | None = None, *,
         An already-guarded kernel is not re-wrapped.
     data
         Optional preprocessed data for ``kernel`` (serial stacks only;
-        ignored — and rebuilt — when the guard wraps a fresh kernel or
-        a parallel executor re-chunks the matrix).
+        a parallel executor re-chunks the matrix). The guard adopts it
+        (:meth:`~repro.engine.guard.GuardedKernel.adopt`).
     tracer
         Tracer for the supervised executor's ``supervise`` spans and
         the trace executor's ``engine.apply`` spans. Created
@@ -514,13 +515,14 @@ def build_executor(csr: CSRMatrix, spec: ExecutorSpec | None = None, *,
 
         tracer = Tracer()
 
+    par, sup = spec.parallel, spec.supervision
     if spec.guard:
         guarded = guard_kernel(kernel)
         if guarded is not kernel:
-            data = None  # preprocessed for the unguarded kernel
+            if data is not None and par is None:
+                data = guarded.adopt(csr, data)
             kernel = guarded
 
-    par, sup = spec.parallel, spec.supervision
     if par is None:
         executor = KernelExecutor(csr, kernel, data=data)
     elif sup is None:

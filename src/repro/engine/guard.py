@@ -25,7 +25,10 @@ The guard is also the engine's *validation boundary* for caller-owned
 (:func:`~repro.formats.base.check_out_buffer`) and passed inward as a
 :func:`~repro.formats.base.trust_out_buffer` view, so the wrapped
 kernel and its formats skip their own re-validation instead of
-re-checking the same buffer on every nested call.
+re-checking the same buffer on every nested call. A wrong-shape
+operand raises ``ValueError`` here, before the variant runs: a caller's
+error never counts against the variant. Under supervision the guard
+is the stack's one poison check (the supervisor skips its own).
 """
 
 from __future__ import annotations
@@ -87,9 +90,8 @@ class GuardedKernel(Kernel):
     # -- preprocessing -------------------------------------------------
 
     def preprocess(self, csr: CSRMatrix) -> GuardedData:
-        values_finite = bool(np.isfinite(csr.values).all())
         if is_quarantined(self.inner.name):
-            return GuardedData(None, csr, values_finite)
+            return self.adopt(csr, None)
         try:
             inner_data = self.inner.preprocess(csr)
         except Exception as exc:
@@ -97,7 +99,14 @@ class GuardedKernel(Kernel):
                 f"preprocess raised {type(exc).__name__}: {exc}"
             )
             inner_data = None
-        return GuardedData(inner_data, csr, values_finite)
+        return self.adopt(csr, inner_data)
+
+    def adopt(self, csr: CSRMatrix, inner_data) -> GuardedData:
+        """Guarded data over ``inner_data``, which the wrapped kernel
+        already preprocessed from ``csr`` (``None``: every apply falls
+        back), so wrapping a planned kernel converts nothing again."""
+        return GuardedData(inner_data, csr,
+                           bool(np.isfinite(csr.values).all()))
 
     def preprocessing_seconds(self, csr: CSRMatrix,
                               machine: MachineSpec) -> float:
@@ -109,6 +118,10 @@ class GuardedKernel(Kernel):
 
     def apply(self, data: GuardedData, x: np.ndarray,
               out: np.ndarray | None = None, workspace=None) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        ncols = data.csr.ncols
+        if x.shape != (ncols,):
+            raise ValueError(f"x must have shape ({ncols},), got {x.shape}")
         trusted = None
         if out is not None:
             # Validate once at the engine boundary; everything nested
@@ -131,9 +144,9 @@ class GuardedKernel(Kernel):
     def apply_multi(self, data: GuardedData, X: np.ndarray,
                     out: np.ndarray | None = None,
                     workspace=None) -> np.ndarray:
+        X = data.csr._check_matmat_input(X)
         trusted = None
         if out is not None:
-            X = np.asarray(X)
             out = check_out_buffer(out, (data.csr.nrows, X.shape[1]),
                                    operand=X)
             trusted = trust_out_buffer(out)

@@ -14,17 +14,20 @@ and with what configuration — as plain data:
   the stack its own default scratch arena;
 * ``trace`` — record one ``engine.apply`` span per apply.
 
-Specs serialize (:meth:`ExecutorSpec.to_dict` / ``from_dict`` under
+The spec is the only decision about how a planned kernel runs, and
+:func:`~repro.engine.executor.build_executor` the only place it is
+applied; planning and the plan cache handle plain kernels. Specs
+serialize (:meth:`ExecutorSpec.to_dict` / ``from_dict`` under
 :data:`ENGINE_SPEC_SCHEMA_VERSION`) and are folded into the
 :class:`~repro.core.optimizer.OptimizationPlan` IR and the plan-cache
 keys, so a warm-started plan reconstructs the exact same stack in a
 fresh process (``repro.engine.build_executor(csr, plan.executor_spec)``).
 
 Cache-key semantics: :meth:`ExecutorSpec.cache_signature` deliberately
-excludes the ``guard`` and ``trace`` axes. Guarding re-wraps a cached
-kernel on lookup (guarded and unguarded optimizers *share* plan
-entries — see ``AdaptiveSpMV._lookup``) and tracing is pure
-observability; neither changes what was planned. The parallel,
+excludes the ``guard`` and ``trace`` axes. A cache entry holds the
+plain planned kernel, so guarded and unguarded optimizers *share* plan
+entries, and tracing is pure observability; neither changes what was
+planned. The parallel,
 supervision and workspace axes do partition the cache: the signature
 is ``"serial"`` or ``ParallelConfig.signature()``, followed by the
 supervision and workspace settings when they are set.
@@ -138,8 +141,8 @@ class ExecutorSpec:
     # -- signatures -----------------------------------------------------
 
     def cache_signature(self) -> str:
-        """Plan-cache key component (see the module docstring for why
-        ``guard``/``trace`` are excluded)."""
+        """Plan-cache key component. It excludes ``guard`` (entries
+        hold plain kernels) and ``trace`` (observability)."""
         base = (
             self.parallel.signature() if self.parallel is not None
             else "serial"

@@ -51,6 +51,7 @@ from ..errors import ParallelExecutionError
 from ..formats import CSRMatrix
 from ..kernels.base import Kernel
 from .executor import ExecutorBase, ParallelExecutor, kernel_label
+from .guard import GuardedKernel
 
 __all__ = [
     "AttemptRecord",
@@ -242,7 +243,12 @@ class SupervisedExecutor(ExecutorBase):
         self.last_report: SupervisionReport | None = None
         # Poison detection mirrors GuardedKernel rule 3: only when the
         # matrix and operand are finite is a non-finite output a fault.
-        self._values_finite = bool(np.isfinite(csr.values).all())
+        # A guarded kernel applies that rule to every chunk and falls
+        # back itself, so a guarded stack keeps the guard's check only.
+        self._detect_poison = (
+            not isinstance(kernel, GuardedKernel)
+            and bool(np.isfinite(csr.values).all())
+        )
         # Prime the requested rung so construction fails fast on a bad
         # partition and the first apply pays no preprocessing.
         #: Demotion-registry key (the parallel config signature).
@@ -296,10 +302,11 @@ class SupervisedExecutor(ExecutorBase):
                          x: np.ndarray) -> list:
         """Non-finite output rows attributed back to their chunks.
 
-        Returns ``[]`` when the output is clean *or* when non-finite
-        values are legitimate (matrix or operand already non-finite).
+        Returns ``[]`` when the output is clean, when non-finite values
+        are legitimate (matrix or operand already non-finite), or when
+        the kernel is guarded (the guard already checked every chunk).
         """
-        if not self._values_finite:
+        if not self._detect_poison:
             return []
         finite_rows = (
             np.isfinite(y) if y.ndim == 1 else np.isfinite(y).all(axis=1)

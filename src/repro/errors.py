@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "ReproError",
     "FormatValidationError",
-    "KernelExecutionError",
     "SolverBreakdownError",
     "ParallelExecutionError",
     "ChunkFailure",
@@ -34,16 +33,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all typed errors raised by this library."""
-
-
-class KernelExecutionError(ReproError, RuntimeError):
-    """A kernel variant failed during execution (raised, produced
-    non-finite output from finite input, or returned a wrong shape).
-
-    The guarded execution layer normally *recovers* from these by
-    falling back to the reference CSR kernel; this exception is raised
-    only when recovery is impossible (e.g. no fallback data available).
-    """
 
 
 class SolverBreakdownError(ReproError, RuntimeError):

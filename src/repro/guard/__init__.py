@@ -4,17 +4,19 @@ Hardens the pipeline end to end against malformed structural input,
 NaN/Inf-poisoned values and misbehaving kernel variants:
 
 * **validation** — every format exposes ``validate(strict=...)``
-  (see :meth:`repro.formats.base.SparseFormat.validate`); the
-  :func:`validate_format` convenience here dispatches to it and the
-  error taxonomy lives in :mod:`repro.errors`;
+  (see :meth:`repro.formats.base.SparseFormat.validate`); the error
+  taxonomy lives in :mod:`repro.errors`;
 * **fault injection** (:mod:`repro.guard.faults`) — deterministic
   corruption of structures, value poisoning and MatrixMarket stream
   truncation, used by ``tests/faults/`` to prove every layer fails
   loudly or degrades cleanly;
 * **guarded kernels** (:class:`~repro.engine.guard.GuardedKernel`,
-  re-exported here) — kernel wrappers that quarantine faulting variants (per-variant failure counters in
+  re-exported here) — kernel wrappers that quarantine faulting
+  variants (per-variant failure counters in
   :mod:`repro.kernels.registry`) and fall back to the reference CSR
-  kernel bit-identically.
+  kernel bit-identically. A stack runs guarded when its
+  :class:`~repro.engine.ExecutorSpec` says ``guard``;
+  :func:`~repro.engine.build_executor` applies the wrapper.
 
 See ``docs/robustness.md`` for the full semantics.
 """
@@ -22,7 +24,6 @@ See ``docs/robustness.md`` for the full semantics.
 from ..errors import (
     ChunkFailure,
     FormatValidationError,
-    KernelExecutionError,
     ParallelExecutionError,
     ReproError,
     SolverBreakdownError,
@@ -57,13 +58,11 @@ __all__ = [
     # error taxonomy
     "ReproError",
     "FormatValidationError",
-    "KernelExecutionError",
     "SolverBreakdownError",
     "ParallelExecutionError",
     "ChunkFailure",
     "ValidationIssue",
     "ValidationReport",
-    "validate_format",
     # quarantine
     "QUARANTINE_THRESHOLD",
     "record_kernel_failure",
@@ -88,13 +87,3 @@ __all__ = [
     "PARALLEL_FAULTS",
     "ParallelFaultKernel",
 ]
-
-
-def validate_format(fmt, *, strict: bool = True,
-                    check_values: bool = True) -> ValidationReport:
-    """Validate any :class:`~repro.formats.base.SparseFormat` instance.
-
-    Equivalent to ``fmt.validate(...)``; provided so guard-layer callers
-    can validate without importing the formats package.
-    """
-    return fmt.validate(strict=strict, check_values=check_values)

@@ -7,7 +7,6 @@ from .microbench import (
     RegularizedColindSpMV,
     UnitStrideSpMV,
     time_callable,
-    time_kernel,
 )
 from .preprocess_cost import (
     JIT_CODEGEN_SECONDS,
@@ -53,7 +52,6 @@ __all__ = [
     "UnitStrideSpMV",
     "MicroTiming",
     "time_callable",
-    "time_kernel",
     "spmv_cost",
     "row_compute_cycles",
     "row_stream_bytes",

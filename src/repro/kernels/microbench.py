@@ -17,7 +17,7 @@ Both kernels are *numerically different* from SpMV by construction —
 they are measurement instruments, not solvers.
 
 The module also hosts the host-side micro-timing harness
-(:func:`time_callable` / :func:`time_kernel`) that
+(:func:`time_callable`) that
 :func:`repro.model.profile.calibrate` builds machine profiles from.
 Every timing warms up before measuring and reports the median of k
 samples — a single cold sample folds first-touch page faults, lazy
@@ -43,7 +43,6 @@ __all__ = [
     "UnitStrideSpMV",
     "MicroTiming",
     "time_callable",
-    "time_kernel",
 ]
 
 
@@ -88,14 +87,6 @@ def time_callable(fn, *, repeats: int = 7,
         best_seconds=float(np.min(samples)),
         samples=tuple(samples),
         warmup=warmup,
-    )
-
-
-def time_kernel(kernel, data, x, *, repeats: int = 7,
-                warmup: int = 2) -> MicroTiming:
-    """Warmed median-of-k timing of one ``kernel.apply(data, x)``."""
-    return time_callable(
-        lambda: kernel.apply(data, x), repeats=repeats, warmup=warmup
     )
 
 

@@ -113,8 +113,8 @@ def write_checksummed(path, body: dict, *, indent: int = 2) -> None:
     never a truncated hybrid, and never a stray partial (the temp file
     is removed on any write failure). The envelope carries a blake2b
     checksum of the canonicalized body so readers detect silent on-disk
-    corruption. This is the same layout :meth:`repro.core.PlanCache.save`
-    uses.
+    corruption. :meth:`repro.core.PlanCache.save` and
+    :meth:`repro.model.MachineProfile.save` write through it.
     """
     payload = {"checksum": body_checksum(body), "body": body}
     path = os.fspath(path)

@@ -1,7 +1,7 @@
 """The state threaded through one staged planning run.
 
 A :class:`PipelineContext` carries the inputs of a run (matrix, target
-machine, classifier, pool, guard flag) and accumulates each stage's
+machine, classifier, pool, executor spec) and accumulates each stage's
 products (features, classes, selected optimizations, configured kernel,
 preprocessed data, modeled costs). Stages communicate exclusively through
 the context — no stage holds private state — which is what makes them
@@ -34,6 +34,9 @@ class PipelineContext:
     classifier: object
     classifier_kind: str
     pool: object
+    #: read by no stage: planning handles plain kernels only, and the
+    #: guard is ``spec.guard``, applied by
+    #: :func:`~repro.engine.build_executor`.
     guard: bool = False
     #: convert the execution format for real (``optimize``) or only
     #: charge its modeled cost (``plan``)?

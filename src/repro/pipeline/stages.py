@@ -15,7 +15,7 @@ classify     detect bottleneck classes (+ modeled decision cost)
 select       map classes to pool optimizations (reading the features
              a mapping entry needs, by default the row lengths for
              IMB), configure the kernel, substitute quarantined
-             variants, apply the guard wrapper
+             variants
 transform    charge the modeled setup cost; build the kernel's data
              bundle when the run asks for it
 execute      simulate one kernel execution on the target machine
@@ -110,8 +110,9 @@ class SelectStage:
     The pool selects once; the kernel is built from those names.
 
     Quarantined variants are substituted by the baseline (recorded both
-    in the plan and the span), and the guard wrapper is applied here so
-    downstream stages see the kernel exactly as it will run.
+    in the plan and the span). The kernel stays plain: the guard is an
+    axis of the plan's :class:`~repro.engine.ExecutorSpec`, applied by
+    :func:`~repro.engine.build_executor` alone.
     """
 
     name = "select"
@@ -129,16 +130,11 @@ class SelectStage:
             # kernel instead and record what was skipped.
             quarantined = (kernel.name,)
             kernel = baseline_kernel()
-        if ctx.guard:
-            from ..engine import guard_kernel
-
-            kernel = guard_kernel(kernel)
         ctx.kernel = kernel
         ctx.quarantined = quarantined
         span.set(
             optimizations=list(ctx.optimizations),
             kernel=kernel.name,
-            guard=ctx.guard,
             quarantine_substitutions=list(quarantined),
             guard_fault_counts={
                 name: kernel_failure_count(name)

@@ -5,7 +5,6 @@ from .policies import (
     SCHEDULE_POLICIES,
     auto_chunked,
     balanced_nnz,
-    best_policy,
     dynamic_chunks,
     make_partition,
     rank_policies,
@@ -20,6 +19,5 @@ __all__ = [
     "dynamic_chunks",
     "make_partition",
     "rank_policies",
-    "best_policy",
     "SCHEDULE_POLICIES",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "dynamic_chunks",
     "make_partition",
     "rank_policies",
-    "best_policy",
     "SCHEDULE_POLICIES",
 ]
 
@@ -225,11 +224,3 @@ def rank_policies(csr: CSRMatrix, model, nthreads: int, kernel=None,
     ]
     ranked.sort(key=lambda item: item[1].seconds)
     return ranked
-
-
-def best_policy(csr: CSRMatrix, model, nthreads: int, kernel=None,
-                *, policies=None, data=None) -> str:
-    """Name of the policy the model predicts fastest (see
-    :func:`rank_policies`)."""
-    return rank_policies(csr, model, nthreads, kernel,
-                         policies=policies, data=data)[0][0]

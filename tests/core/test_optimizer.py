@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveSpMV, Bottleneck
+from repro.engine import ExecutorSpec
 from repro.machine import KNC, KNL
 from repro.kernels import baseline_kernel
 from repro.model import AnalyticModel
+from repro.parallel import ParallelConfig
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,27 @@ def test_operator_shape_property(banded_csr):
     opt = AdaptiveSpMV(KNL, classifier="profile")
     operator = opt.optimize(banded_csr)
     assert operator.shape == banded_csr.shape
+
+
+# -- the operator applies through its plan's stack ---------------------
+
+
+def test_explicit_spec_composes_a_separate_stack(small_random_csr):
+    """``executor(spec)`` builds the stack the spec says, over the plain
+    planned kernel: an empty spec on a guarded operator is unguarded,
+    and the operator keeps its own guarded stack."""
+    op = AdaptiveSpMV(KNL, spec=ExecutorSpec(guard=True)).optimize(
+        small_random_csr)
+    assert "guard -> kernel[" in op.executor().describe()
+    assert "guard" not in op.executor(ExecutorSpec()).describe()
+    assert op.executor() is op.executor()
+
+
+def test_matvec_runs_the_plans_parallel_stack(small_random_csr, x300):
+    op = AdaptiveSpMV(
+        KNL, spec=ExecutorSpec(parallel=ParallelConfig(2))
+    ).optimize(small_random_csr)
+    assert op.executor().last_measurement is None
+    y = op.matvec(x300)
+    assert op.executor().last_measurement is not None
+    assert np.array_equal(y, small_random_csr.matvec(x300))

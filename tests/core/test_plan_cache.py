@@ -10,6 +10,7 @@ from repro.core import (
     matrix_fingerprint,
     optimizer,
 )
+from repro.engine import ExecutorSpec
 from repro.formats import CSRMatrix
 from repro.machine import BROADWELL, KNL
 from repro.matrices.generators import fem_like, power_law, random_uniform
@@ -218,6 +219,25 @@ def test_different_machines_do_not_share_plans(small_random_csr):
     assert not op.plan.cache_hit
 
 
+def test_shared_cache_serves_each_optimizer_its_own_stack(
+        small_random_csr):
+    """Entries hold the plain planned kernel: a plain, a guarded and a
+    plain optimizer on one shared cache each run their own spec's
+    stack, and no lookup replaces the entry's kernel."""
+    shared = PlanCache()
+    plain = AdaptiveSpMV(KNL, classifier="profile", plan_cache=shared)
+    guarded = AdaptiveSpMV(KNL, classifier="profile", plan_cache=shared,
+                           spec=ExecutorSpec(guard=True))
+    ops = [opt.optimize(small_random_csr)
+           for opt in (plain, guarded, plain)]
+    assert [op.plan.cache_hit for op in ops] == [False, True, True]
+    assert len(shared) == 1
+    for op, is_guarded in zip(ops, (False, True, False)):
+        assert op.plan.executor_spec.guard is is_guarded
+        assert ("guard ->" in op.executor().describe()) is is_guarded
+        assert op.kernel is ops[0].kernel
+
+
 # -- execution-configuration axis (nthreads / parallel config) ---------
 
 
@@ -230,7 +250,7 @@ def test_execution_config_partitions_cache(small_random_csr):
     serial = AdaptiveSpMV(KNL, classifier="profile", plan_cache=shared)
     threaded = AdaptiveSpMV(
         KNL, classifier="profile", plan_cache=shared,
-        parallel=ParallelConfig(4, "balanced-nnz"),
+        spec=ExecutorSpec(parallel=ParallelConfig(4, "balanced-nnz")),
     )
     serial.optimize(small_random_csr)
     op = threaded.optimize(small_random_csr)
@@ -240,7 +260,7 @@ def test_execution_config_partitions_cache(small_random_csr):
     # different schedule under the same thread count -> miss
     other = AdaptiveSpMV(
         KNL, classifier="profile", plan_cache=shared,
-        parallel=ParallelConfig(4, "static-rows"),
+        spec=ExecutorSpec(parallel=ParallelConfig(4, "static-rows")),
     )
     assert not other.optimize(small_random_csr).plan.cache_hit
 
@@ -262,8 +282,9 @@ def test_parallel_executor_from_optimized(small_random_csr, x300):
     bit-identical to the planned serial numeric plane."""
     from repro.parallel import ParallelConfig
 
-    opt = AdaptiveSpMV(KNL, classifier="profile",
-                       parallel=ParallelConfig(4, "balanced-nnz"))
+    opt = AdaptiveSpMV(
+        KNL, classifier="profile",
+        spec=ExecutorSpec(parallel=ParallelConfig(4, "balanced-nnz")))
     op = opt.optimize(small_random_csr)
     par = op.executor()
     np.testing.assert_array_equal(
@@ -353,8 +374,9 @@ def _inplace_case(case):
         A = random_uniform(2000, 8, seed=3)
 
         def make(**kw):
-            return AdaptiveSpMV(KNL, classifier="profile",
-                                guard=case == "guarded", **kw)
+            return AdaptiveSpMV(
+                KNL, classifier="profile",
+                spec=ExecutorSpec(guard=case == "guarded"), **kw)
     return A, make
 
 

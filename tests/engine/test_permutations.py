@@ -168,3 +168,17 @@ def test_permutation_smoke_guard_supervision_two_threads():
     np.testing.assert_array_equal(out, x[perm])
     assert [s.name for s in tracer.spans] == ["supervise", "engine.apply"]
     assert ExecutorSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_guard_adopts_serial_data(small_random_csr, x300):
+    """A guarded serial stack runs the data it is given: wrapping a
+    planned kernel preprocesses (converts) nothing again."""
+    from repro.kernels import merged_pool_kernel
+
+    kernel = merged_pool_kernel(("unrolling",))
+    data = kernel.preprocess(small_random_csr)
+    stack = build_executor(small_random_csr, ExecutorSpec(guard=True),
+                           kernel=kernel, data=data)
+    assert stack.data.inner is data
+    np.testing.assert_array_equal(stack.apply(x300),
+                                  small_random_csr.matvec(x300))

@@ -21,7 +21,6 @@ from repro.guard import (
     clone_format,
     inject_structural_fault,
     inject_value_fault,
-    validate_format,
 )
 
 
@@ -71,12 +70,6 @@ def test_validation_error_is_typed(small_random_csr):
         bad.validate()
     with pytest.raises(ValueError):  # also a ValueError for old callers
         bad.validate()
-
-
-def test_validate_format_convenience(small_random_csr):
-    assert validate_format(small_random_csr).ok
-    bad = inject_value_fault(small_random_csr, "nan")
-    assert not validate_format(bad, strict=False).ok
 
 
 def test_clone_format_is_independent(any_format):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveSpMV
+from repro.engine import ExecutorSpec, build_executor
 from repro.guard import (
     BrokenKernel,
     GuardedKernel,
@@ -16,8 +17,9 @@ from repro.guard import (
     quarantined_kernel_names,
     record_kernel_failure,
 )
-from repro.kernels import baseline_kernel, pool_kernel
+from repro.kernels import baseline_kernel, merged_pool_kernel, pool_kernel
 from repro.machine import KNL
+from repro.parallel import ParallelConfig
 
 
 @pytest.fixture
@@ -45,6 +47,25 @@ def test_faulting_kernel_falls_back_bit_identically(small_random_csr, x,
     assert y is out
     np.testing.assert_array_equal(out, small_random_csr.matvec(x))
     assert kernel_failure_count(broken.name) == 1
+
+
+@pytest.mark.parametrize("nthreads", [None, 2], ids=["serial", "t2"])
+def test_wrong_shape_operand_never_quarantines(small_random_csr,
+                                               nthreads):
+    """A caller's wrong-shape ``x``/``X`` raises ``ValueError`` before
+    the guarded variant runs, so it is not counted against the variant
+    (the parallel executor's own shape check runs first)."""
+    kernel = merged_pool_kernel(("unrolling",))
+    parallel = None if nthreads is None else ParallelConfig(nthreads)
+    stack = build_executor(small_random_csr,
+                           ExecutorSpec(guard=True, parallel=parallel),
+                           kernel=kernel)
+    n = small_random_csr.ncols
+    with pytest.raises(ValueError, match="x must have shape"):
+        stack.apply(np.ones(n + 1))
+    with pytest.raises(ValueError, match="X must have shape"):
+        stack.apply_multi(np.ones((n + 1, 2)))
+    assert kernel_failure_count(kernel.name) == 0
 
 
 def test_failure_log_records_reasons(small_random_csr, x):
@@ -165,15 +186,17 @@ def test_optimizer_invalidates_stale_cache_entry(small_random_csr):
 
 def test_optimizer_guard_mode_survives_broken_registry_kernel(
         small_random_csr, x):
-    opt = AdaptiveSpMV(KNL, classifier="profile", guard=True)
+    opt = AdaptiveSpMV(KNL, classifier="profile",
+                       spec=ExecutorSpec(guard=True))
     op = opt.optimize(small_random_csr)
-    assert isinstance(op.kernel, GuardedKernel)
+    guarded = op.executor().kernel
+    assert isinstance(guarded, GuardedKernel)
     ref = small_random_csr.matvec(x)
     np.testing.assert_allclose(op.matvec(x), ref, rtol=1e-12)
 
     # sabotage the wrapped variant's numeric plane in place
-    op.kernel.inner = BrokenKernel(
-        op.kernel.inner, mode="raise", name=op.kernel.name
+    guarded.inner = BrokenKernel(
+        guarded.inner, mode="raise", name=guarded.name
     )
     np.testing.assert_array_equal(op.matvec(x), ref)
     assert is_quarantined(op.plan.kernel_name)

@@ -120,6 +120,21 @@ def test_nan_operand_is_propagation_not_a_fault(small_random_csr, x):
     assert np.array_equal(y, small_random_csr.matvec(x), equal_nan=True)
 
 
+def test_guarded_overflow_makes_no_ladder_move(small_random_csr):
+    """A finite matrix and operand whose product overflows: on a guarded
+    supervised stack the guard is the one poison check, so the ladder
+    stays at its first rung and records no demotion."""
+    x = np.full(small_random_csr.ncols, 1e308)
+    stack = build_executor(small_random_csr, ExecutorSpec(
+        guard=True, parallel=ParallelConfig(2),
+        supervision=SupervisionSpec()), kernel=baseline_kernel())
+    y = stack.apply(x)
+    assert not np.isfinite(y).all()
+    assert stack.last_report.ladder() == "t2"
+    assert demotion_count() == 0
+    assert np.array_equal(y, small_random_csr.matvec(x), equal_nan=True)
+
+
 # -- supervised ladder: bit-identical recovery on every rung ------------
 
 

@@ -78,6 +78,7 @@ def test_lenient_load_degrades_unknown_schema_to_empty(tmp_path):
 
 def test_guarded_optimizer_rewraps_revived_entries(small_random_csr,
                                                    tmp_path):
+    from repro.engine import ExecutorSpec
     from repro.guard import GuardedKernel
 
     cold = AdaptiveSpMV(KNL, classifier="profile")
@@ -86,12 +87,12 @@ def test_guarded_optimizer_rewraps_revived_entries(small_random_csr,
     cold.plan_cache.save(path)
 
     warm = AdaptiveSpMV(
-        KNL, classifier="profile", guard=True,
+        KNL, classifier="profile", spec=ExecutorSpec(guard=True),
         plan_cache=PlanCache.load(path),
     )
     op = warm.optimize(small_random_csr)
     assert op.plan.cache_hit
-    assert isinstance(op.kernel, GuardedKernel)
+    assert isinstance(op.executor().kernel, GuardedKernel)
 
 
 def test_fresh_process_warm_start_bit_identical(small_random_csr,

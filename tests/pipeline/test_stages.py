@@ -136,21 +136,22 @@ def test_select_span_records_quarantine_event(small_random_csr,
 
 def test_guarded_fault_shows_up_in_trace(small_random_csr, rng,
                                          quarantine_guard):
+    from repro.engine import ExecutorSpec
     from repro.guard import BrokenKernel, GuardedKernel
 
-    opt = AdaptiveSpMV(KNL, classifier="profile", guard=True,
-                       plan_cache=False)
+    opt = AdaptiveSpMV(KNL, classifier="profile",
+                       spec=ExecutorSpec(guard=True), plan_cache=False)
     op = opt.optimize(small_random_csr)
-    assert isinstance(op.kernel, GuardedKernel)
+    guarded = op.executor().kernel
+    assert isinstance(guarded, GuardedKernel)
     name = op.plan.kernel_name
     # sabotage the wrapped variant, then run through the guard
-    op.kernel.inner = BrokenKernel(op.kernel.inner, mode="raise",
-                                   name=name)
+    guarded.inner = BrokenKernel(guarded.inner, mode="raise", name=name)
     x = rng.standard_normal(small_random_csr.ncols)
     np.testing.assert_array_equal(
         op.matvec(x), small_random_csr.matvec(x)
     )
-    assert op.kernel.failure_events == 1
+    assert guarded.failure_events == 1
 
     # replanning now reports the quarantine in the select span
     tracer = Tracer()

@@ -64,6 +64,13 @@ def test_parallel_command_rejects_bad_threads(capsys):
     assert "bad thread list" in capsys.readouterr().err
 
 
+def test_run_guarded_supervised_stack(capsys):
+    # The exit status is the run's bit-identity check against serial CSR.
+    assert main(["run", "smallfem", "--engine-spec",
+                 "guard,threads=2,supervise", "--repeats", "1"]) == 0
+    assert "guard -> kernel[" in capsys.readouterr().out
+
+
 def test_analyze_reports_cache_hit(capsys):
     assert main(["analyze", "consph", "--platform", "knl",
                  "--scale", "0.05"]) == 0
