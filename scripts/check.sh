@@ -9,8 +9,11 @@
 # benchmark's own self-tests on tiny inputs (bench/test_bench.py: a
 # library change that deletes or renames a name bench/ imports fails
 # here, not in a later benchmark run), then the tests/perf smoke pass
-# (zero-allocation steady-state and warm-start overhead asserts; speed
-# itself is measured only by bench/run.py), then the measured-parallel
+# (zero-allocation steady-state and warm-start overhead asserts, plus
+# the cost-plane assert that the bound runs and a plan-cache miss
+# succeed with Partition.thread_sums and row_stream_bytes broken, i.e.
+# price CSR kernels from exact row moments; speed itself is measured
+# only by bench/run.py), then the measured-parallel
 # smoke gate (real thread-pool execution at nthreads=2 asserting the
 # measured per-thread CPU-time imbalance sanity), then the full
 # fault-injection suite with *warnings promoted to errors* (a stray

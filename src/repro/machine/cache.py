@@ -39,7 +39,7 @@ from ..formats import CSRMatrix
 from .spec import MachineSpec
 
 __all__ = ["XAccessStats", "XAccessCost", "x_access_stats", "x_access_cost",
-           "clear_cache"]
+           "x_miss_cost", "max_row_miss_latency", "clear_cache"]
 
 #: Fraction of a cache level realistically available to hold ``x`` while
 #: the matrix arrays stream through and continuously evict.
@@ -175,15 +175,18 @@ def _residency(x_ws: int, machine: MachineSpec) -> tuple[float, float]:
     return local, llc
 
 
+def _visible_misses(potential, strided, machine: MachineSpec):
+    """Possible misses left visible once hardware prefetchers hide the
+    trackable strided ones."""
+    return (potential - strided) + strided * (1.0 - machine.hw_prefetch_eff)
+
+
 def _miss_cost(potential, strided, local: float, llc: float,
                machine: MachineSpec):
     """Exposed miss latency (ns, before MLP) and DRAM bytes of
     ``potential`` possible misses, ``strided`` of them trackable (per-row
-    arrays or stream totals)."""
-    # Hardware prefetchers hide trackable strided misses.
-    visible = (potential - strided) + strided * (
-        1.0 - machine.hw_prefetch_eff
-    )
+    arrays, per-thread totals or stream totals)."""
+    visible = _visible_misses(potential, strided, machine)
 
     # Misses that leave the core: a fraction `llc - local` of them is
     # served by a remote L2 / the L3, the rest (1 - llc) go to DRAM.
@@ -204,6 +207,37 @@ def _miss_cost(potential, strided, local: float, llc: float,
     return latency_ns, dram_bytes
 
 
+def x_miss_cost(csr: CSRMatrix, machine: MachineSpec, potential, strided,
+                *, software_prefetch: bool = False):
+    """Exposed miss latency (ns, before MLP) and x DRAM bytes of
+    ``potential`` possible misses of ``csr``'s x stream, ``strided`` of
+    them trackable: the per-row counts of :func:`x_access_stats`, or
+    any totals of them (per thread, per row range)."""
+    local, llc = residency_fractions(csr, machine)
+    latency_ns, dram_bytes = _miss_cost(potential, strided, local, llc,
+                                        machine)
+    # Software prefetch slightly inflates traffic with useless fetches.
+    if software_prefetch:
+        dram_bytes = dram_bytes * 1.05
+    return latency_ns, dram_bytes
+
+
+def max_row_miss_latency(csr: CSRMatrix, machine: MachineSpec) -> float:
+    """The largest per-row exposed miss latency of ``csr`` (ns, before
+    MLP; 0 without rows).
+
+    A row's latency grows with its visible misses alone, so this is
+    the latency of the row with the most of them: equal, bit for bit,
+    to the maximum over :func:`x_access_cost`'s per-row latencies.
+    """
+    if csr.nrows == 0:
+        return 0.0
+    stats = x_access_stats(csr, machine.line_elems)
+    p, s = stats.potential_misses, stats.strided_potential
+    row = int(np.argmax(_visible_misses(p, s, machine)))
+    return float(x_miss_cost(csr, machine, p[row], s[row])[0])
+
+
 def x_access_cost(
     csr: CSRMatrix,
     machine: MachineSpec,
@@ -213,14 +247,10 @@ def x_access_cost(
     """Estimate per-row x-access latency exposure and DRAM traffic."""
     stats = x_access_stats(csr, machine.line_elems)
     local, llc = residency_fractions(csr, machine)
-    latency_ns, dram_bytes = _miss_cost(
-        stats.potential_misses, stats.strided_potential, local, llc,
-        machine,
+    latency_ns, dram_bytes = x_miss_cost(
+        csr, machine, stats.potential_misses, stats.strided_potential,
+        software_prefetch=software_prefetch,
     )
-    # Software prefetch slightly inflates traffic with useless fetches.
-    if software_prefetch:
-        dram_bytes = dram_bytes * 1.05
-
     return XAccessCost(
         latency_ns_per_row=latency_ns,
         dram_bytes_per_row=dram_bytes,

@@ -115,3 +115,32 @@ def test_optimize_miss_computes_only_what_it_reads(monkeypatch, make):
     op = AdaptiveSpMV(KNL).optimize(csr)
     assert not op.plan.cache_hit
     assert op.plan.to_dict() == expected.to_dict()
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("make", [
+    lambda: banded(3000, nnz_per_row=9, jitter=1.0, seed=31),
+    lambda: power_law(3000, avg_deg=12, seed=32),
+], ids=["banded", "power_law"])
+def test_bound_runs_build_no_per_row_cost_arrays(monkeypatch, make):
+    """The CSR cost plane prices threads from exact row moments: with
+    the per-row float fold (``Partition.thread_sums``) and the per-row
+    byte array (``row_stream_bytes``) broken, the three bound runs and
+    a plan-cache miss still succeed and decide the same."""
+    from repro.kernels import costmodel
+    from repro.model import AnalyticModel
+    from repro.sched import Partition
+
+    csr = make()
+    bounds = AnalyticModel(KNL).bounds(csr).as_dict()
+    expected = AdaptiveSpMV(KNL).optimize(csr).plan
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the CSR cost plane built a per-row array")
+
+    monkeypatch.setattr(Partition, "thread_sums", broken)
+    monkeypatch.setattr(costmodel, "row_stream_bytes", broken)
+    assert AnalyticModel(KNL).bounds(csr).as_dict() == bounds
+    op = AdaptiveSpMV(KNL).optimize(csr)
+    assert not op.plan.cache_hit
+    assert op.plan.to_dict() == expected.to_dict()
