@@ -11,9 +11,10 @@
 # here, not in a later benchmark run), then the tests/perf smoke pass
 # (zero-allocation steady-state and warm-start overhead asserts, plus
 # the cost-plane assert that the bound runs and a plan-cache miss
-# succeed with Partition.thread_sums and row_stream_bytes broken, i.e.
-# price CSR kernels from exact row moments; speed itself is measured
-# only by bench/run.py), then the measured-parallel
+# succeed while row_compute_cycles refuses more than three rows and
+# x_miss_cost refuses per-row counts, i.e. price CSR kernels from
+# exact per-thread totals; speed itself is measured only by
+# bench/run.py), then the measured-parallel
 # smoke gate (real thread-pool execution at nthreads=2 asserting the
 # measured per-thread CPU-time imbalance sanity), then the full
 # fault-injection suite with *warnings promoted to errors* (a stray

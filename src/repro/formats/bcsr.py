@@ -60,7 +60,7 @@ class BCSRMatrix(SparseFormat):
     format_name = "bcsr"
 
     __slots__ = ("block_rowptr", "block_colind", "block_values", "block",
-                 "_shape", "_nnz", "_plan")
+                 "_shape", "_nnz", "_plan", "_pattern")
 
     def __init__(self, block_rowptr, block_colind, block_values, block,
                  shape, nnz, *, trusted=False):
@@ -72,6 +72,7 @@ class BCSRMatrix(SparseFormat):
         self._shape = (int(shape[0]), int(shape[1]))
         self._nnz = int(nnz)
         self._plan = None
+        self._pattern = None
         if not trusted:
             nblocks = self.block_colind.size
             if self.block_values.shape != (nblocks, self.block, self.block):
@@ -204,6 +205,21 @@ class BCSRMatrix(SparseFormat):
     def fill_ratio(self) -> float:
         """Stored / logical elements (1.0 = perfect blocks)."""
         return self.stored_elements / max(self._nnz, 1)
+
+    def block_pattern(self) -> CSRMatrix:
+        """The block-coordinate pattern: one row per block row, one
+        unit entry per stored block at its block column. Cached; it
+        shares ``block_rowptr`` and ``block_colind``. The cost plane
+        partitions and prices block rows on it, so the x-access
+        statistics, memoized per matrix object, are computed once."""
+        if self._pattern is None:
+            self._pattern = CSRMatrix(
+                self.block_rowptr, self.block_colind, np.ones(self.nblocks),
+                (self.block_rowptr.size - 1,
+                 max(-(-self.ncols // self.block), 1)),
+                trusted=True,
+            )
+        return self._pattern
 
     def _block_plan(self):
         """Cached structure-derived apply plan:

@@ -1,7 +1,7 @@
 """SpMV kernel variants: numeric + cost + preprocessing planes (S4)."""
 
 from .base import Kernel
-from .costmodel import row_compute_cycles, row_stream_bytes, spmv_cost
+from .costmodel import row_compute_cycles, spmv_cost
 from .microbench import (
     MicroTiming,
     RegularizedColindSpMV,
@@ -54,7 +54,6 @@ __all__ = [
     "time_callable",
     "spmv_cost",
     "row_compute_cycles",
-    "row_stream_bytes",
     "POOL_CONFIGS",
     "pool_kernel",
     "pool_names",

@@ -20,9 +20,10 @@ import numpy as np
 from ..formats import CSRMatrix
 from ..formats.bcsr import BCSRMatrix
 from ..machine import KernelCost, MachineSpec
-from ..machine.cache import x_access_cost
+from ..machine.cache import max_row_miss_latency
 from ..sched import Partition, make_partition
 from .base import Kernel
+from .costmodel import thread_x_cost
 from .preprocess_cost import JIT_CODEGEN_SECONDS, pass_seconds
 
 __all__ = ["BCSRSpMV"]
@@ -70,15 +71,7 @@ class BCSRSpMV(Kernel):
 
     def partition(self, data: BCSRMatrix, nthreads: int) -> Partition:
         # balance stored blocks across threads over block rows
-        proxy = CSRMatrix(
-            data.block_rowptr.copy(),
-            data.block_colind.copy(),
-            np.ones(data.nblocks),
-            (data.block_rowptr.size - 1,
-             max(-(-data.ncols // data.block), 1)),
-            trusted=True,
-        )
-        return make_partition(proxy, nthreads, "balanced-nnz")
+        return make_partition(data.block_pattern(), nthreads, "balanced-nnz")
 
     def _schedulable(self, data: BCSRMatrix):  # pragma: no cover
         raise NotImplementedError("BCSRSpMV builds its own partition")
@@ -89,10 +82,12 @@ class BCSRSpMV(Kernel):
              partition: Partition) -> KernelCost:
         r = data.block
         m = machine
-        nbrows = data.block_rowptr.size - 1
-        partition.validate_covers(nbrows)
+        pattern = data.block_pattern()
+        partition.validate_covers(pattern.nrows)
 
-        blocks_per_brow = np.diff(data.block_rowptr).astype(np.float64)
+        # Moments per thread: block rows and stored blocks.
+        brows = partition.thread_counts()
+        blocks = partition.thread_counts(offsets=data.block_rowptr)
 
         # Compute: per block, r SIMD rows of r elements each — dense
         # FMA tile with a single x-block load (one address per block).
@@ -101,34 +96,35 @@ class BCSRSpMV(Kernel):
             m.vec_iter_base_cycles * simd_iters_per_block
             + m.gather_cycles_per_elem * r       # one gather per block row of x
         )
-        cycles = (
-            m.vec_row_overhead_cycles + blocks_per_brow * per_block_cycles
-        )
+        cycles = m.vec_row_overhead_cycles * brows + per_block_cycles * blocks
 
-        # Traffic: dense tiles (incl. fill) + one 4B index per block.
-        bytes_per_brow = blocks_per_brow * (r * r * 8.0 + 4.0) + 8.0 + 16.0
+        # Traffic: dense tiles (incl. fill) + one 4B index per block;
+        # rowptr (8 B) and y (16 B) per block row.
+        stream_bytes = (r * r * 8.0 + 4.0) * blocks + (8.0 + 16.0) * brows
 
-        # x behaviour at block granularity via the block-coordinate CSR.
-        proxy = CSRMatrix(
-            data.block_rowptr.copy(), data.block_colind.copy(),
-            np.ones(data.nblocks),
-            (nbrows, max(-(-data.ncols // r), 1)),
-            trusted=True,
-        )
-        xc = x_access_cost(proxy, m)
-        latency = xc.latency_ns_per_row
-        bytes_per_brow = bytes_per_brow + xc.dram_bytes_per_row
+        # x behaviour at block granularity via the block-coordinate
+        # pattern.
+        latency, x_bytes = thread_x_cost(pattern, m, partition)
+        stream_bytes += x_bytes
+
+        # Block-row cycles grow with the blocks: the costliest block
+        # row is the one with the most.
+        max_unit_cycles = 0.0
+        if pattern.nrows:
+            most = int(np.diff(data.block_rowptr).max())
+            max_unit_cycles = float(m.vec_row_overhead_cycles
+                                    + most * per_block_cycles)
 
         flops = 2.0 * data.nnz  # useful flops exclude fill-in
         ws = data.total_nbytes() + 8.0 * (data.nrows + data.ncols)
 
         return KernelCost(
-            compute_cycles=partition.thread_sums(cycles),
-            stream_bytes=partition.thread_sums(bytes_per_brow),
-            latency_ns=partition.thread_sums(latency),
+            compute_cycles=cycles,
+            stream_bytes=stream_bytes,
+            latency_ns=latency,
             mlp=m.mlp,
             flops=flops,
             working_set_bytes=ws,
-            max_unit_cycles=float(cycles.max(initial=0.0)),
-            max_unit_latency_ns=float(latency.max(initial=0.0)),
+            max_unit_cycles=max_unit_cycles,
+            max_unit_latency_ns=max_row_miss_latency(pattern, m),
         )

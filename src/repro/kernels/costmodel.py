@@ -1,14 +1,15 @@
-"""Shared per-row cost accounting for all CSR-family SpMV kernels.
+"""Shared cost accounting for all CSR-family SpMV kernels.
 
 The machine model (DESIGN.md Section 6) needs, per thread: core compute
 cycles, streamed memory bytes, and exposed miss latency.
-:func:`row_compute_cycles` and :func:`row_stream_bytes` define them per
-row from the matrix structure and the kernel's optimization flags.
-Within a row category (empty or not; long or short under unrolling)
-each is affine in a few integers of the row: 1, its nonzeros, its SIMD
-iterations and its possible x misses. :func:`spmv_cost` therefore sums
-those integers per thread, exactly, and evaluates the affine forms once
-per thread instead of summing per-row float arrays.
+:func:`row_compute_cycles` defines a row's cycles from its nonzeros and
+the kernel's optimization flags; a row streams its values and column
+indices, one rowptr entry, its y entry and the x lines the cache model
+charges. Within a row category (empty or not; long or short under
+unrolling) each is affine in a few integers of the row: 1, its
+nonzeros, its SIMD iterations and its possible x misses.
+:func:`spmv_cost` therefore sums those integers per thread, exactly,
+and evaluates the affine forms once per thread.
 
 x-access modes
 --------------
@@ -37,7 +38,7 @@ from ..machine import KernelCost, MachineSpec
 from ..machine.cache import max_row_miss_latency, x_access_stats, x_miss_cost
 from ..sched import Partition
 
-__all__ = ["row_compute_cycles", "row_stream_bytes", "spmv_cost"]
+__all__ = ["row_compute_cycles", "thread_x_cost", "spmv_cost"]
 
 #: Vector-load cost per element when x accesses are regular (no gather).
 _REGULAR_LOAD_CYCLES_PER_ELEM = 0.15
@@ -119,30 +120,18 @@ def row_compute_cycles(
                     float(m.row_overhead_cycles))
 
 
-def row_stream_bytes(
-    row_nnz: np.ndarray,
-    *,
-    index_bytes_per_nnz: float,
-    extra_index_bytes_per_row: float = 0.0,
-    x_dram_bytes: np.ndarray | None = None,
-    x_mode: str = "gather",
-) -> np.ndarray:
-    """Streamed memory traffic per row (matrix arrays + y + x)."""
-    nnz = row_nnz.astype(np.float64)
-    a_bytes = nnz * (8.0 + index_bytes_per_nnz)
-    per_row = (
-        a_bytes
-        + _ROWPTR_BYTES_PER_ROW
-        + extra_index_bytes_per_row
-        + _Y_BYTES_PER_ROW
+def thread_x_cost(csr: CSRMatrix, machine: MachineSpec,
+                  partition: Partition, *, software_prefetch: bool = False):
+    """Exposed x-miss latency (ns, before MLP) and x DRAM bytes per
+    thread of ``csr``'s row-major x stream: the cache model's cost of
+    each thread's exact totals of the per-row x-access counts."""
+    stats = x_access_stats(csr, machine.line_elems)
+    return x_miss_cost(
+        csr, machine,
+        partition.thread_counts(stats.potential_misses),
+        partition.thread_counts(stats.strided_potential),
+        software_prefetch=software_prefetch,
     )
-    if x_mode == "gather":
-        if x_dram_bytes is not None:
-            per_row = per_row + x_dram_bytes
-    else:
-        # One resident x element per row: negligible, line-amortized.
-        per_row = per_row + 8.0
-    return per_row
 
 
 def spmv_cost(
@@ -168,11 +157,11 @@ def spmv_cost(
     byte accounting can be overridden (``index_bytes_per_nnz``) for
     compressed index formats whose row structure matches the CSR.
 
-    Each per-thread total is the per-row cost of
-    :func:`row_compute_cycles` / :func:`row_stream_bytes` (and the
-    cache model's per-row latency) summed over the thread's rows,
-    computed from the thread's exact integer row moments. The largest
-    row costs are evaluated at each row category's longest row.
+    Each per-thread total is the per-row cost (the cycles of
+    :func:`row_compute_cycles`, the streamed bytes and the cache
+    model's latency) summed over the thread's rows, computed from the
+    thread's exact integer row moments. The largest row costs are
+    evaluated at each row category's longest row.
     """
     check_in("x_mode", x_mode, ("gather", "sequential", "unit"))
     csr = csr_structure
@@ -239,20 +228,17 @@ def spmv_cost(
             prefetch=prefetch, decode=decode, x_mode=x_mode,
         ).max())
 
-    # Streamed bytes (row_stream_bytes) and exposed x-miss latency.
+    # Streamed bytes: values and indices per nonzero; rowptr, any
+    # out-of-line index bytes and y per row; x's DRAM lines under a
+    # gather, else one resident element per row. Exposed x-miss latency.
     stream_bytes = (
         (8.0 + index_bytes_per_nnz) * nnz
         + (_ROWPTR_BYTES_PER_ROW + extra_index_bytes_per_row
            + _Y_BYTES_PER_ROW) * rows
     )
     if x_mode == "gather":
-        stats = x_access_stats(csr, m.line_elems)
-        latency, x_bytes = x_miss_cost(
-            csr, m,
-            partition.thread_counts(stats.potential_misses),
-            partition.thread_counts(stats.strided_potential),
-            software_prefetch=prefetch,
-        )
+        latency, x_bytes = thread_x_cost(csr, m, partition,
+                                         software_prefetch=prefetch)
         stream_bytes += x_bytes
         max_unit_latency = max_row_miss_latency(csr, m)
     else:

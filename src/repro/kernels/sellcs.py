@@ -90,41 +90,56 @@ class SellCSigmaSpMV(Kernel):
         m = machine
         partition.validate_covers(data.nchunks)
         C = data.chunk
-        width = data.chunk_len.astype(np.float64)
+
+        # Moments per thread: chunks and slot rows (summed widths).
+        chunks = partition.thread_counts()
+        width = partition.thread_counts(data.chunk_len)
 
         # One SIMD iteration per slot-row processes min(C, simd) lanes.
         lanes_per_iter = min(C, m.simd_doubles)
-        iters = width * np.ceil(C / lanes_per_iter)
+        iters_per_row = np.ceil(C / lanes_per_iter)
         per_iter = (
             m.vec_iter_base_cycles
             + m.gather_cycles_per_elem * lanes_per_iter
         )
-        cycles = m.vec_row_overhead_cycles + iters * per_iter
+        cycles = (m.vec_row_overhead_cycles * chunks
+                  + width * iters_per_row * per_iter)
 
         # Traffic: padded slots stream fully; + chunk metadata; + the
         # y permutation writeback (16 B per row: load + store).
         slots = width * C
-        bytes_per_chunk = slots * 12.0 + 16.0 + 16.0 * C
+        stream_bytes = slots * 12.0 + (16.0 + 16.0 * C) * chunks
 
         # x gathers follow the stored (chunk-column-major) stream;
         # padding slots hit x[0], which is resident. The aggregate
-        # latency/traffic is distributed over chunks by stored slots.
-        total_share = slots / max(slots.sum(), 1.0)
+        # latency/traffic is split over threads by their stored slots.
+        total_slots = max(float(slots.sum()), 1.0)
+        share = slots / total_slots
         agg = _aggregate_x_cost(data, m)
-        latency = agg["latency_ns"] * total_share
-        bytes_per_chunk = bytes_per_chunk + agg["dram_bytes"] * total_share
+        latency = agg["latency_ns"] * share
+        stream_bytes += agg["dram_bytes"] * share
+
+        # Chunk costs grow with the width: the costliest chunk is the
+        # widest.
+        max_unit_cycles = max_unit_latency = 0.0
+        if data.nchunks:
+            widest = int(data.chunk_len.max())
+            max_unit_cycles = float(m.vec_row_overhead_cycles
+                                    + widest * iters_per_row * per_iter)
+            max_unit_latency = float(
+                agg["latency_ns"] * (float(widest * C) / total_slots))
 
         flops = 2.0 * data.nnz
         ws = data.total_nbytes() + 8.0 * (data.nrows + data.ncols)
         return KernelCost(
-            compute_cycles=partition.thread_sums(cycles),
-            stream_bytes=partition.thread_sums(bytes_per_chunk),
-            latency_ns=partition.thread_sums(latency),
+            compute_cycles=cycles,
+            stream_bytes=stream_bytes,
+            latency_ns=latency,
             mlp=m.mlp,
             flops=flops,
             working_set_bytes=ws,
-            max_unit_cycles=float(cycles.max(initial=0.0)),
-            max_unit_latency_ns=float(latency.max(initial=0.0)),
+            max_unit_cycles=max_unit_cycles,
+            max_unit_latency_ns=max_unit_latency,
         )
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .._validation import check_in
 from ..formats import CSRMatrix, DecomposedCSR, DeltaCSR
 from ..machine import KernelCost, MachineSpec
+from ..machine.cache import x_access_stats, x_miss_cost
 from ..sched import Partition, make_partition
 from .base import Kernel
 from .costmodel import row_compute_cycles, spmv_cost
@@ -282,15 +283,17 @@ class ConfiguredSpMV(Kernel):
             ).sum()
         )
 
-        # Memory traffic of the long part, spread evenly.
-        from ..machine.cache import x_access_cost
-
-        xc = x_access_cost(long_csr, machine,
-                           software_prefetch=cfg.prefetch)
-        long_bytes = (
-            d.long_nnz * 12.0 + float(xc.dram_bytes_per_row.sum())
-        ) / T
-        long_latency = float(xc.latency_ns_per_row.sum()) / T
+        # Memory traffic and x-miss latency of the long part, from its
+        # summed x-access counts, spread evenly.
+        stats = x_access_stats(long_csr, machine.line_elems)
+        latency, x_bytes = x_miss_cost(
+            long_csr, machine,
+            int(stats.potential_misses.sum()),
+            int(stats.strided_potential.sum()),
+            software_prefetch=cfg.prefetch,
+        )
+        long_bytes = (d.long_nnz * 12.0 + float(x_bytes)) / T
+        long_latency = float(latency) / T
 
         reduce_s = (
             d.n_long_rows

@@ -7,11 +7,9 @@ optimizer depends on.
 """
 
 from .cache import (
-    XAccessCost,
     XAccessStats,
     clear_cache,
     residency_fractions,
-    x_access_cost,
     x_access_stats,
     x_working_set_bytes,
 )
@@ -37,9 +35,7 @@ __all__ = [
     "KernelCost",
     "RunResult",
     "XAccessStats",
-    "XAccessCost",
     "x_access_stats",
-    "x_access_cost",
     "x_working_set_bytes",
     "residency_fractions",
     "clear_cache",

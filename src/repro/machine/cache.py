@@ -23,6 +23,10 @@ per row,
 The measurements the paper takes are *warm-cache* (128 back-to-back
 SpMVs), so residency is a steady-state fraction, not a cold-start one.
 
+Exposed latency and DRAM traffic are linear in the two counts once the
+residency is fixed, so :func:`x_miss_cost` prices any exact totals of
+them (per thread, per row range) with no per-row pass.
+
 Per-matrix derived arrays are memoized via :class:`weakref.WeakKeyDictionary`
 so repeated simulated runs on the same matrix (bounds, oracle sweeps, ...)
 do not recompute them.
@@ -38,8 +42,8 @@ import numpy as np
 from ..formats import CSRMatrix
 from .spec import MachineSpec
 
-__all__ = ["XAccessStats", "XAccessCost", "x_access_stats", "x_access_cost",
-           "x_miss_cost", "max_row_miss_latency", "clear_cache"]
+__all__ = ["XAccessStats", "x_access_stats", "x_miss_cost",
+           "max_row_miss_latency", "clear_cache"]
 
 #: Fraction of a cache level realistically available to hold ``x`` while
 #: the matrix arrays stream through and continuously evict.
@@ -61,22 +65,6 @@ class XAccessStats:
     potential_misses: np.ndarray    # per row, incl. the row-start access
     strided_potential: np.ndarray   # subset with hw-prefetchable strides
     unique_x_lines: int             # distinct x cache lines touched
-
-
-@dataclass(frozen=True)
-class XAccessCost:
-    """Machine-dependent x-access cost of one matrix.
-
-    ``latency_ns_per_row`` is total exposed miss latency per row before
-    dividing by the achievable memory-level parallelism (the time model
-    applies MLP, which is what software prefetching improves).
-    ``dram_bytes_per_row`` is the x-induced DRAM line traffic.
-    """
-
-    latency_ns_per_row: np.ndarray
-    dram_bytes_per_row: np.ndarray
-    local_residency: float
-    llc_residency: float
 
 
 def _compute_stats(csr: CSRMatrix, line_elems: int) -> XAccessStats:
@@ -111,6 +99,14 @@ def _miss_flags(csr: CSRMatrix,
     first_cols = colind[starts].astype(np.int64)
     gaps[starts] = np.abs(np.diff(first_cols, prepend=first_cols[:1] - 10**9))
 
+    return _miss_criterion(gaps, line_elems)
+
+
+def _miss_criterion(gaps: np.ndarray,
+                    line_elems: int) -> tuple[np.ndarray, np.ndarray]:
+    """(may miss, hardware-prefetchable) flags of accesses ``gaps``
+    columns from their predecessor: a gap wider than a line may miss,
+    and one of those is trackable up to ``_PREFETCHABLE_LINES`` lines."""
     may_miss = gaps > line_elems
     strided = gaps <= _PREFETCHABLE_LINES * line_elems
     strided &= may_miss
@@ -209,10 +205,12 @@ def _miss_cost(potential, strided, local: float, llc: float,
 
 def x_miss_cost(csr: CSRMatrix, machine: MachineSpec, potential, strided,
                 *, software_prefetch: bool = False):
-    """Exposed miss latency (ns, before MLP) and x DRAM bytes of
-    ``potential`` possible misses of ``csr``'s x stream, ``strided`` of
-    them trackable: the per-row counts of :func:`x_access_stats`, or
-    any totals of them (per thread, per row range)."""
+    """Exposed miss latency (ns, before MLP: the time model applies the
+    memory-level parallelism, which is what software prefetching
+    improves) and x DRAM bytes of ``potential`` possible misses of
+    ``csr``'s x stream, ``strided`` of them trackable: the per-row
+    counts of :func:`x_access_stats`, or any totals of them (per
+    thread, per row range)."""
     local, llc = residency_fractions(csr, machine)
     latency_ns, dram_bytes = _miss_cost(potential, strided, local, llc,
                                         machine)
@@ -228,7 +226,7 @@ def max_row_miss_latency(csr: CSRMatrix, machine: MachineSpec) -> float:
 
     A row's latency grows with its visible misses alone, so this is
     the latency of the row with the most of them: equal, bit for bit,
-    to the maximum over :func:`x_access_cost`'s per-row latencies.
+    to the maximum of :func:`x_miss_cost` over the per-row counts.
     """
     if csr.nrows == 0:
         return 0.0
@@ -236,27 +234,6 @@ def max_row_miss_latency(csr: CSRMatrix, machine: MachineSpec) -> float:
     p, s = stats.potential_misses, stats.strided_potential
     row = int(np.argmax(_visible_misses(p, s, machine)))
     return float(x_miss_cost(csr, machine, p[row], s[row])[0])
-
-
-def x_access_cost(
-    csr: CSRMatrix,
-    machine: MachineSpec,
-    *,
-    software_prefetch: bool = False,
-) -> XAccessCost:
-    """Estimate per-row x-access latency exposure and DRAM traffic."""
-    stats = x_access_stats(csr, machine.line_elems)
-    local, llc = residency_fractions(csr, machine)
-    latency_ns, dram_bytes = x_miss_cost(
-        csr, machine, stats.potential_misses, stats.strided_potential,
-        software_prefetch=software_prefetch,
-    )
-    return XAccessCost(
-        latency_ns_per_row=latency_ns,
-        dram_bytes_per_row=dram_bytes,
-        local_residency=local,
-        llc_residency=llc,
-    )
 
 
 def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
@@ -271,8 +248,7 @@ def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
         return {"latency_ns": 0.0, "dram_bytes": 0.0}
     line = machine.line_elems
     gaps = np.abs(np.diff(cols, prepend=cols[:1] - 10**9))
-    may_miss = gaps > line
-    strided = may_miss & (gaps <= _PREFETCHABLE_LINES * line)
+    may_miss, strided = _miss_criterion(gaps, line)
     local, llc = _residency(
         _distinct_lines(cols, ncols, line) * machine.line_bytes, machine
     )

@@ -1,11 +1,10 @@
 """Work partitioning of SpMV rows across threads.
 
 A :class:`Partition` maps every row to the thread that executes it.
-The cost model aggregates per-row quantities to per-thread totals:
-integer counts exactly through :meth:`Partition.thread_counts`, float
-cost arrays through :meth:`Partition.thread_sums`. Any assignment
-expressible as a row->thread map works (contiguous blocks, round-robin
-chunks, ...).
+The cost model prices a thread from exact per-thread totals of integer
+per-row counts (:meth:`Partition.thread_counts`), its only per-thread
+fold. Any assignment expressible as a row->thread map works (contiguous
+blocks, round-robin chunks, ...).
 
 ``kind == "dynamic"`` is special: it represents a work-stealing runtime
 whose assignment is made *at execution time*. The time model treats it
@@ -53,17 +52,6 @@ class Partition:
     @property
     def is_dynamic(self) -> bool:
         return self.kind == "dynamic"
-
-    def thread_sums(self, per_row: np.ndarray) -> np.ndarray:
-        """Aggregate a per-row quantity to per-thread totals."""
-        per_row = np.asarray(per_row, dtype=np.float64)
-        if per_row.shape != (self.nrows,):
-            raise ValueError(
-                f"per_row must have shape ({self.nrows},), got {per_row.shape}"
-            )
-        return np.bincount(
-            self.thread_of_row, weights=per_row, minlength=self.nthreads
-        )
 
     def thread_counts(self, per_row: np.ndarray | None = None, *,
                       offsets: np.ndarray | None = None) -> np.ndarray:

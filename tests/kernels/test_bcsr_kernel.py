@@ -76,3 +76,25 @@ def test_flops_exclude_fill(banded_csr):
 def test_block_validation():
     with pytest.raises(ValueError):
         BCSRSpMV(block=0)
+
+
+def test_repeat_cost_reuses_block_pattern(monkeypatch, banded_csr):
+    """``partition`` and ``cost`` share one block-coordinate pattern per
+    matrix, so a second ``cost()`` reads the memoized x-access
+    statistics instead of recomputing them."""
+    from repro.machine import cache
+
+    kernel = BCSRSpMV(block=2)
+    data = kernel.preprocess(banded_csr)
+    first = kernel.cost(data, KNC, kernel.partition(data, 32))
+    assert data.block_pattern() is data.block_pattern()
+
+    def recompute(*args):
+        raise AssertionError("x-access statistics recomputed")
+
+    monkeypatch.setattr(cache, "_compute_stats", recompute)
+    second = kernel.cost(data, KNC, kernel.partition(data, 32))
+    for name in ("compute_cycles", "stream_bytes", "latency_ns"):
+        np.testing.assert_array_equal(getattr(second, name),
+                                      getattr(first, name))
+    assert second.max_unit_latency_ns == first.max_unit_latency_ns

@@ -1,12 +1,17 @@
-"""Unit tests for the shared per-row cost model.
+"""Unit tests for the shared cost model.
 
-``reference_spmv_cost`` below is :func:`spmv_cost` as it stood when it
-summed per-row float arrays onto threads, kept operation for operation.
-The agreement grid requires the per-thread totals from exact row
-moments to match it within ``rtol=1e-12`` and every scalar field,
-including the largest-row costs, to equal it.
+The cost plane prices every kernel from exact per-thread totals of
+integer counts. The references below are the kernels' cost planes as
+they stood when they built per-row (or per-chunk) float arrays and
+summed them onto threads, kept operation for operation:
+``reference_spmv_cost`` (:func:`spmv_cost`), ``reference_bcsr_cost``,
+``reference_sellcs_cost`` and ``reference_long_rows_cost`` (the
+decomposed kernel's long-row phase). The agreement grids require the
+per-thread totals to match them within ``rtol=1e-12`` and every scalar
+field, including the largest-unit costs, to equal them.
 """
 
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -16,23 +21,64 @@ import scipy.sparse as sp
 
 from repro.formats import CSRMatrix
 from repro.kernels import (
+    BCSRSpMV,
     ConfiguredSpMV,
     RegularizedColindSpMV,
+    SellCSigmaSpMV,
     SpMVConfig,
     UnitStrideSpMV,
     microbench,
+    sellcs,
     variants,
 )
 from repro.kernels.costmodel import (
     _ROWPTR_BYTES_PER_ROW,
+    _Y_BYTES_PER_ROW,
     row_compute_cycles,
-    row_stream_bytes,
     spmv_cost,
 )
 from repro.machine import BROADWELL, KNC, KNL, KernelCost
-from repro.machine.cache import x_access_cost
+from repro.machine.cache import x_access_stats, x_miss_cost
 from repro.matrices import generators as gen
 from repro.sched import balanced_nnz
+
+
+def _per_thread(partition, per_row):
+    """Sum a per-row float array onto the partition's threads."""
+    per_row = np.asarray(per_row, dtype=np.float64)
+    assert per_row.shape == (partition.nrows,)
+    return np.bincount(partition.thread_of_row, weights=per_row,
+                       minlength=partition.nthreads)
+
+
+def _row_x_cost(csr, machine, *, software_prefetch=False):
+    """Per-row exposed x-miss latency and x DRAM bytes: the cache
+    model's cost of each row's own access counts."""
+    stats = x_access_stats(csr, machine.line_elems)
+    return x_miss_cost(csr, machine, stats.potential_misses,
+                       stats.strided_potential,
+                       software_prefetch=software_prefetch)
+
+
+def row_stream_bytes(row_nnz, *, index_bytes_per_nnz,
+                     extra_index_bytes_per_row=0.0, x_dram_bytes=None,
+                     x_mode="gather"):
+    """Streamed memory traffic per row (matrix arrays + y + x)."""
+    nnz = row_nnz.astype(np.float64)
+    a_bytes = nnz * (8.0 + index_bytes_per_nnz)
+    per_row = (
+        a_bytes
+        + _ROWPTR_BYTES_PER_ROW
+        + extra_index_bytes_per_row
+        + _Y_BYTES_PER_ROW
+    )
+    if x_mode == "gather":
+        if x_dram_bytes is not None:
+            per_row = per_row + x_dram_bytes
+    else:
+        # One resident x element per row: negligible, line-amortized.
+        per_row = per_row + 8.0
+    return per_row
 
 
 def reference_spmv_cost(csr_structure, machine, partition, *,
@@ -52,10 +98,8 @@ def reference_spmv_cost(csr_structure, machine, partition, *,
     )
 
     if x_mode == "gather":
-        xc = x_access_cost(csr_structure, machine,
-                           software_prefetch=prefetch)
-        latency_per_row = xc.latency_ns_per_row
-        x_bytes = xc.dram_bytes_per_row
+        latency_per_row, x_bytes = _row_x_cost(
+            csr_structure, machine, software_prefetch=prefetch)
     else:
         latency_per_row = np.zeros(csr_structure.nrows)
         x_bytes = None
@@ -81,15 +125,146 @@ def reference_spmv_cost(csr_structure, machine, partition, *,
         )
 
     return KernelCost(
-        compute_cycles=partition.thread_sums(cycles),
-        stream_bytes=partition.thread_sums(bytes_per_row),
-        latency_ns=partition.thread_sums(latency_per_row),
+        compute_cycles=_per_thread(partition, cycles),
+        stream_bytes=_per_thread(partition, bytes_per_row),
+        latency_ns=_per_thread(partition, latency_per_row),
         mlp=machine.mlp_prefetch if prefetch else machine.mlp,
         flops=float(flops),
         working_set_bytes=float(working_set_bytes),
         extra_seconds=extra_seconds,
         max_unit_cycles=float(cycles.max(initial=0.0)),
         max_unit_latency_ns=float(latency_per_row.max(initial=0.0)),
+    )
+
+
+def reference_bcsr_cost(self, data, machine, partition):
+    """``BCSRSpMV.cost`` over per-block-row arrays, exactly as it
+    computed."""
+    r = data.block
+    m = machine
+    nbrows = data.block_rowptr.size - 1
+    partition.validate_covers(nbrows)
+
+    blocks_per_brow = np.diff(data.block_rowptr).astype(np.float64)
+
+    simd_iters_per_block = r * max(np.ceil(r / m.simd_doubles), 1.0)
+    per_block_cycles = (
+        m.vec_iter_base_cycles * simd_iters_per_block
+        + m.gather_cycles_per_elem * r
+    )
+    cycles = (
+        m.vec_row_overhead_cycles + blocks_per_brow * per_block_cycles
+    )
+
+    bytes_per_brow = blocks_per_brow * (r * r * 8.0 + 4.0) + 8.0 + 16.0
+
+    proxy = CSRMatrix(
+        data.block_rowptr.copy(), data.block_colind.copy(),
+        np.ones(data.nblocks),
+        (nbrows, max(-(-data.ncols // r), 1)),
+        trusted=True,
+    )
+    latency, x_bytes = _row_x_cost(proxy, m)
+    bytes_per_brow = bytes_per_brow + x_bytes
+
+    flops = 2.0 * data.nnz
+    ws = data.total_nbytes() + 8.0 * (data.nrows + data.ncols)
+
+    return KernelCost(
+        compute_cycles=_per_thread(partition, cycles),
+        stream_bytes=_per_thread(partition, bytes_per_brow),
+        latency_ns=_per_thread(partition, latency),
+        mlp=m.mlp,
+        flops=flops,
+        working_set_bytes=ws,
+        max_unit_cycles=float(cycles.max(initial=0.0)),
+        max_unit_latency_ns=float(latency.max(initial=0.0)),
+    )
+
+
+def reference_sellcs_cost(self, data, machine, partition):
+    """``SellCSigmaSpMV.cost`` over per-chunk arrays, exactly as it
+    computed."""
+    m = machine
+    partition.validate_covers(data.nchunks)
+    C = data.chunk
+    width = data.chunk_len.astype(np.float64)
+
+    lanes_per_iter = min(C, m.simd_doubles)
+    iters = width * np.ceil(C / lanes_per_iter)
+    per_iter = (
+        m.vec_iter_base_cycles
+        + m.gather_cycles_per_elem * lanes_per_iter
+    )
+    cycles = m.vec_row_overhead_cycles + iters * per_iter
+
+    slots = width * C
+    bytes_per_chunk = slots * 12.0 + 16.0 + 16.0 * C
+
+    total_share = slots / max(slots.sum(), 1.0)
+    agg = sellcs._aggregate_x_cost(data, m)
+    latency = agg["latency_ns"] * total_share
+    bytes_per_chunk = bytes_per_chunk + agg["dram_bytes"] * total_share
+
+    flops = 2.0 * data.nnz
+    ws = data.total_nbytes() + 8.0 * (data.nrows + data.ncols)
+    return KernelCost(
+        compute_cycles=_per_thread(partition, cycles),
+        stream_bytes=_per_thread(partition, bytes_per_chunk),
+        latency_ns=_per_thread(partition, latency),
+        mlp=m.mlp,
+        flops=flops,
+        working_set_bytes=ws,
+        max_unit_cycles=float(cycles.max(initial=0.0)),
+        max_unit_latency_ns=float(latency.max(initial=0.0)),
+    )
+
+
+def reference_long_rows_cost(self, data, machine, partition, cost):
+    """``ConfiguredSpMV._add_long_rows_cost`` with per-row x costs,
+    exactly as it computed."""
+    cfg = self.config
+    d = data.decomposed
+    T = partition.nthreads
+    long_csr = data.long_part_csr()
+
+    chunk_nnz = np.diff(d.long_rowptr).astype(np.float64) / T
+    cycles_per_thread = float(
+        row_compute_cycles(
+            np.maximum(chunk_nnz, 1.0), machine,
+            vectorize=True,
+            unroll=cfg.unroll,
+            prefetch=cfg.prefetch,
+            x_mode="gather",
+        ).sum()
+    )
+
+    latency, x_bytes = _row_x_cost(long_csr, machine,
+                                   software_prefetch=cfg.prefetch)
+    long_bytes = (d.long_nnz * 12.0 + float(x_bytes.sum())) / T
+    long_latency = float(latency.sum()) / T
+
+    reduce_s = (
+        d.n_long_rows
+        * math.log2(max(T, 2))
+        * variants._REDUCE_NS_PER_LEVEL
+        * 1e-9
+    )
+    barrier_s = machine.parallel_overhead_seconds(T)
+
+    extra = np.full(T, reduce_s + barrier_s)
+    if cost.extra_seconds is not None:
+        extra = extra + cost.extra_seconds
+    return KernelCost(
+        compute_cycles=cost.compute_cycles + cycles_per_thread,
+        stream_bytes=cost.stream_bytes + long_bytes,
+        latency_ns=cost.latency_ns + long_latency,
+        mlp=cost.mlp,
+        flops=cost.flops,
+        working_set_bytes=cost.working_set_bytes + d.long_nnz * 12.0,
+        extra_seconds=extra,
+        max_unit_cycles=cost.max_unit_cycles,
+        max_unit_latency_ns=cost.max_unit_latency_ns,
     )
 
 
@@ -155,17 +330,28 @@ def test_x_mode_validation():
         row_compute_cycles(np.array([1]), KNC, x_mode="banana")
 
 
+def _one_row(nnz):
+    """A one-row matrix with ``nnz`` nonzeros and its 1-thread
+    partition."""
+    csr = CSRMatrix(np.array([0, nnz]), np.arange(nnz), np.ones(nnz),
+                    (1, nnz))
+    return csr, balanced_nnz(csr, 1)
+
+
 def test_stream_bytes_accounting():
-    nnz = np.array([10])
-    b = row_stream_bytes(nnz, index_bytes_per_nnz=4.0, x_mode="sequential")
+    csr, part = _one_row(10)
+    b = spmv_cost(csr, KNC, part, index_bytes_per_nnz=4.0,
+                  x_mode="sequential").stream_bytes
     # 10 * (8 + 4) + rowptr 8 + y 16 + x 8
     assert b[0] == pytest.approx(10 * 12 + 8 + 16 + 8)
 
 
 def test_stream_bytes_compressed_index():
-    nnz = np.array([10])
-    full = row_stream_bytes(nnz, index_bytes_per_nnz=4.0, x_mode="unit")
-    delta = row_stream_bytes(nnz, index_bytes_per_nnz=1.0, x_mode="unit")
+    csr, part = _one_row(10)
+    full = spmv_cost(csr, KNC, part, index_bytes_per_nnz=4.0,
+                     x_mode="unit").stream_bytes
+    delta = spmv_cost(csr, KNC, part, index_bytes_per_nnz=1.0,
+                      x_mode="unit").stream_bytes
     assert full[0] - delta[0] == pytest.approx(30.0)
 
 
@@ -276,13 +462,67 @@ def test_spmv_cost_agrees_with_reference(monkeypatch, matrix, machine):
                 patch.setattr(microbench, "spmv_cost",
                               reference_spmv_cost)
                 ref = kernel.cost(data, m, part)
-            where = (kernel.name, nthreads)
-            for name in ("compute_cycles", "stream_bytes", "latency_ns"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype == np.float64, (where, name)
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0,
-                                           err_msg=f"{where} {name}")
-            for name in ("max_unit_cycles", "max_unit_latency_ns", "flops",
-                         "working_set_bytes", "mlp"):
-                assert getattr(got, name) == getattr(ref, name), (
-                    where, name)
+            _assert_agrees(got, ref, (kernel.name, nthreads))
+
+
+def _assert_agrees(got, ref, where):
+    """Per-thread arrays within ``rtol=1e-12``, scalars equal."""
+    for name in ("compute_cycles", "stream_bytes", "latency_ns"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype == np.float64, (where, name)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0,
+                                   err_msg=f"{where} {name}")
+    for name in ("max_unit_cycles", "max_unit_latency_ns", "flops",
+                 "working_set_bytes", "mlp"):
+        assert getattr(got, name) == getattr(ref, name), (where, name)
+    if ref.extra_seconds is None:
+        assert got.extra_seconds is None, where
+    else:
+        np.testing.assert_array_equal(got.extra_seconds, ref.extra_seconds,
+                                      err_msg=f"{where} extra_seconds")
+
+
+def _blocked_kernels():
+    """BCSR, SELL-C-sigma and every decomposed flag set."""
+    return [
+        BCSRSpMV(block=2), BCSRSpMV(block=3),
+        SellCSigmaSpMV(chunk=8), SellCSigmaSpMV(chunk=4, sigma=64),
+    ] + [
+        ConfiguredSpMV(SpMVConfig(vectorize=v, unroll=u, prefetch=p,
+                                  compress=c, decompose=True, schedule=s))
+        for (v, u, p, c), s in product(product((False, True), repeat=4),
+                                       ("balanced-nnz", "auto", "dynamic"))
+    ]
+
+
+def test_grid_matrices_have_long_rows():
+    """The decomposed kernels price a long-row phase on some of the
+    grid's matrices."""
+    with_long = [name for name, make in _MATRICES.items()
+                 if ConfiguredSpMV(decompose=True).preprocess(make())
+                 .decomposed.n_long_rows]
+    assert len(with_long) >= 3
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("matrix", sorted(_MATRICES))
+def test_blocked_costs_agree_with_reference(monkeypatch, matrix, machine):
+    """BCSR block rows, SELL-C-sigma chunks and the decomposed long-row
+    phase priced from exact per-thread totals agree with their per-row
+    references."""
+    m = MACHINES[machine]
+    csr = _MATRICES[matrix]()
+    for kernel in _blocked_kernels():
+        data = kernel.preprocess(csr)
+        for nthreads in THREADS:
+            part = kernel.partition(
+                data, m.total_threads if nthreads is None else nthreads)
+            got = kernel.cost(data, m, part)
+            with monkeypatch.context() as patch:
+                patch.setattr(BCSRSpMV, "cost", reference_bcsr_cost)
+                patch.setattr(SellCSigmaSpMV, "cost", reference_sellcs_cost)
+                patch.setattr(ConfiguredSpMV, "_add_long_rows_cost",
+                              reference_long_rows_cost)
+                patch.setattr(variants, "spmv_cost", reference_spmv_cost)
+                ref = kernel.cost(data, m, part)
+            _assert_agrees(got, ref, (kernel.name, nthreads))

@@ -8,8 +8,8 @@ from repro.machine import KNC, BROADWELL
 from repro.machine.cache import (
     clear_cache,
     residency_fractions,
-    x_access_cost,
     x_access_stats,
+    x_miss_cost,
     x_working_set_bytes,
 )
 
@@ -19,6 +19,14 @@ def _fresh_cache():
     clear_cache()
     yield
     clear_cache()
+
+
+def _row_costs(csr, machine, **kwargs):
+    """Per-row exposed miss latency (ns) and x DRAM bytes, from each
+    row's own access counts."""
+    stats = x_access_stats(csr, machine.line_elems)
+    return x_miss_cost(csr, machine, stats.potential_misses,
+                       stats.strided_potential, **kwargs)
 
 
 def _csr(rowptr, colind, ncols):
@@ -80,9 +88,9 @@ def test_residency_decreases_with_x_size(scattered_csr):
 
 def test_cost_zero_when_resident():
     csr = _csr([0, 2], [0, 8], 16)
-    cost = x_access_cost(csr, KNC)
-    assert cost.latency_ns_per_row.sum() == 0.0
-    assert cost.dram_bytes_per_row.sum() == 0.0
+    latency, dram_bytes = _row_costs(csr, KNC)
+    assert latency.sum() == 0.0
+    assert dram_bytes.sum() == 0.0
 
 
 def test_hw_prefetch_hides_strided_latency():
@@ -91,8 +99,8 @@ def test_hw_prefetch_hides_strided_latency():
     big = random_uniform(300_000, nnz_per_row=8.0, seed=2)
     weak = KNC.with_(hw_prefetch_eff=0.0)
     strong = KNC.with_(hw_prefetch_eff=0.9)
-    lat_weak = x_access_cost(big, weak).latency_ns_per_row.sum()
-    lat_strong = x_access_cost(big, strong).latency_ns_per_row.sum()
+    lat_weak = _row_costs(big, weak)[0].sum()
+    lat_strong = _row_costs(big, strong)[0].sum()
     assert lat_strong <= lat_weak
 
 
@@ -100,12 +108,10 @@ def test_software_prefetch_inflates_traffic_not_latency():
     from repro.matrices.generators import random_uniform
 
     big = random_uniform(300_000, nnz_per_row=8.0, seed=3)
-    plain = x_access_cost(big, KNC, software_prefetch=False)
-    pf = x_access_cost(big, KNC, software_prefetch=True)
-    assert pf.dram_bytes_per_row.sum() >= plain.dram_bytes_per_row.sum()
-    np.testing.assert_allclose(
-        pf.latency_ns_per_row, plain.latency_ns_per_row
-    )
+    plain_lat, plain_bytes = _row_costs(big, KNC, software_prefetch=False)
+    pf_lat, pf_bytes = _row_costs(big, KNC, software_prefetch=True)
+    assert pf_bytes.sum() >= plain_bytes.sum()
+    np.testing.assert_allclose(pf_lat, plain_lat)
 
 
 def test_banded_matrix_cheaper_than_scattered():
@@ -114,8 +120,8 @@ def test_banded_matrix_cheaper_than_scattered():
 
     band = banded(300_000, nnz_per_row=9, bandwidth=20, seed=1)
     scat = random_uniform(300_000, nnz_per_row=9.0, seed=2)
-    lat_band = x_access_cost(band, KNC).latency_ns_per_row.sum()
-    lat_scat = x_access_cost(scat, KNC).latency_ns_per_row.sum()
+    lat_band = _row_costs(band, KNC)[0].sum()
+    lat_scat = _row_costs(scat, KNC)[0].sum()
     assert lat_band < 0.1 * lat_scat
 
 
@@ -125,8 +131,8 @@ def test_broadwell_l3_softens_latency():
     # x working set ~1.6 MB: beyond per-core caches on both platforms,
     # inside Broadwell's L3 but spread over KNC's remote L2s.
     big = random_uniform(200_000, nnz_per_row=6.0, seed=4)
-    lat_knc = x_access_cost(big, KNC).latency_ns_per_row.sum()
-    lat_bdw = x_access_cost(big, BROADWELL).latency_ns_per_row.sum()
+    lat_knc = _row_costs(big, KNC)[0].sum()
+    lat_bdw = _row_costs(big, BROADWELL)[0].sum()
     assert lat_bdw < lat_knc
 
 
@@ -139,6 +145,6 @@ def test_stats_memoized():
 
 def test_empty_matrix():
     csr = _csr([0, 0], [], 8)
-    cost = x_access_cost(csr, KNC)
-    assert cost.latency_ns_per_row.shape == (1,)
-    assert cost.latency_ns_per_row.sum() == 0.0
+    latency, _ = _row_costs(csr, KNC)
+    assert latency.shape == (1,)
+    assert latency.sum() == 0.0

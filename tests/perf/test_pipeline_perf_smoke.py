@@ -123,23 +123,34 @@ def test_optimize_miss_computes_only_what_it_reads(monkeypatch, make):
     lambda: power_law(3000, avg_deg=12, seed=32),
 ], ids=["banded", "power_law"])
 def test_bound_runs_build_no_per_row_cost_arrays(monkeypatch, make):
-    """The CSR cost plane prices threads from exact row moments: with
-    the per-row float fold (``Partition.thread_sums``) and the per-row
-    byte array (``row_stream_bytes``) broken, the three bound runs and
-    a plan-cache miss still succeed and decide the same."""
+    """The cost plane prices threads from exact per-thread totals: the
+    three bound runs and a plan-cache miss evaluate
+    ``row_compute_cycles`` only at the three or fewer largest-unit
+    candidates and price x misses only from totals, never per row, and
+    still decide the same. A per-row cost array would need one of the
+    two per row (the matrices have more rows than KNL has threads)."""
+    import numpy as np
+
     from repro.kernels import costmodel
     from repro.model import AnalyticModel
-    from repro.sched import Partition
 
     csr = make()
     bounds = AnalyticModel(KNL).bounds(csr).as_dict()
     expected = AdaptiveSpMV(KNL).optimize(csr).plan
+    row_compute_cycles = costmodel.row_compute_cycles
+    x_miss_cost = costmodel.x_miss_cost
 
-    def broken(*args, **kwargs):
-        raise AssertionError("the CSR cost plane built a per-row array")
+    def cycles(row_nnz, *args, **kwargs):
+        assert np.size(row_nnz) <= 3, "the cost plane priced every row"
+        return row_compute_cycles(row_nnz, *args, **kwargs)
 
-    monkeypatch.setattr(Partition, "thread_sums", broken)
-    monkeypatch.setattr(costmodel, "row_stream_bytes", broken)
+    def miss_cost(matrix, machine, potential, strided, **kwargs):
+        assert np.size(potential) < matrix.nrows, (
+            "the cost plane priced every row's x misses")
+        return x_miss_cost(matrix, machine, potential, strided, **kwargs)
+
+    monkeypatch.setattr(costmodel, "row_compute_cycles", cycles)
+    monkeypatch.setattr(costmodel, "x_miss_cost", miss_cost)
     assert AnalyticModel(KNL).bounds(csr).as_dict() == bounds
     op = AdaptiveSpMV(KNL).optimize(csr)
     assert not op.plan.cache_hit

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import KNC
-from repro.machine.cache import clear_cache, x_access_cost, x_access_stats
+from repro.machine.cache import (
+    clear_cache,
+    residency_fractions,
+    x_access_stats,
+    x_miss_cost,
+)
 from repro.matrices.features import FEATURE_NAMES, extract_features
 
 from .test_formats_prop import sparse_matrices
@@ -49,10 +54,12 @@ def test_cache_model_invariants(csr):
     assert np.all(stats.strided_potential <= stats.potential_misses)
     assert np.all(stats.potential_misses <= csr.row_nnz())
     assert stats.unique_x_lines <= csr.nnz
-    cost = x_access_cost(csr, KNC)
-    assert np.all(cost.latency_ns_per_row >= 0)
-    assert np.all(cost.dram_bytes_per_row >= 0)
-    assert 0.0 <= cost.local_residency <= cost.llc_residency <= 1.0
+    latency, dram_bytes = x_miss_cost(csr, KNC, stats.potential_misses,
+                                      stats.strided_potential)
+    assert np.all(latency >= 0)
+    assert np.all(dram_bytes >= 0)
+    local, llc = residency_fractions(csr, KNC)
+    assert 0.0 <= local <= llc <= 1.0
 
 
 @given(sparse_matrices(), st.integers(0, len(FEATURE_NAMES) - 1))

@@ -20,8 +20,8 @@ def test_every_policy_covers_each_row_once(csr, nthreads):
     ):
         p = policy()
         p.validate_covers(csr.nrows)
-        # thread_sums of ones == rows per thread; totals conserve
-        counts = p.thread_sums(np.ones(csr.nrows))
+        # rows per thread: totals conserve
+        counts = p.thread_counts(np.ones(csr.nrows))
         assert counts.sum() == csr.nrows
 
 
@@ -32,7 +32,7 @@ def test_balanced_nnz_contiguity_and_balance(csr, nthreads):
     # contiguous: thread ids never decrease along rows
     assert np.all(np.diff(p.thread_of_row) >= 0)
     assert 1 <= p.nthreads <= max(nthreads, 1)
-    per_thread = p.thread_sums(csr.row_nnz().astype(float))
+    per_thread = p.thread_counts(csr.row_nnz())
     if csr.nnz:
         # fair share over the *effective* thread count: degenerate
         # requests (more threads than nonempty rows) clamp

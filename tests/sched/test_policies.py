@@ -29,7 +29,7 @@ def test_static_rows_uneven_division():
 def test_balanced_nnz_balances_nonzeros(skewed_csr):
     T = 8
     p = balanced_nnz(skewed_csr, T)
-    per_thread = p.thread_sums(skewed_csr.row_nnz().astype(float))
+    per_thread = p.thread_counts(offsets=skewed_csr.rowptr)
     fair = skewed_csr.nnz / T
     # every thread within 2x of fair share unless a single row exceeds it
     max_row = skewed_csr.row_nnz().max()
@@ -37,10 +37,10 @@ def test_balanced_nnz_balances_nonzeros(skewed_csr):
 
 
 def test_balanced_nnz_beats_static_rows_on_skew(skewed_csr):
-    nnz = skewed_csr.row_nnz().astype(float)
+    nnz = skewed_csr.row_nnz()
     T = 8
-    static = static_rows(skewed_csr.nrows, T).thread_sums(nnz)
-    balanced = balanced_nnz(skewed_csr, T).thread_sums(nnz)
+    static = static_rows(skewed_csr.nrows, T).thread_counts(nnz)
+    balanced = balanced_nnz(skewed_csr, T).thread_counts(nnz)
     assert balanced.max() <= static.max()
 
 
@@ -67,22 +67,6 @@ def test_dynamic_kind_flag(banded_csr):
 def test_n_chunks(banded_csr):
     p = auto_chunked(banded_csr, 4, chunk_rows=100)
     assert p.n_chunks() == int(np.ceil(banded_csr.nrows / 100))
-
-
-def test_thread_sums_correctness():
-    from repro.sched import Partition
-
-    p = Partition(2, np.array([0, 1, 0, 1], dtype=np.int32))
-    sums = p.thread_sums(np.array([1.0, 10.0, 2.0, 20.0]))
-    assert sums.tolist() == [3.0, 30.0]
-
-
-def test_thread_sums_shape_validation():
-    from repro.sched import Partition
-
-    p = Partition(2, np.array([0, 1], dtype=np.int32))
-    with pytest.raises(ValueError):
-        p.thread_sums(np.zeros(3))
 
 
 def test_rows_of_thread():
