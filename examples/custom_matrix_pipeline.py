@@ -32,21 +32,25 @@ from repro.formats import CSRMatrix
 from repro.matrices.generators import random_uniform, with_dense_rows
 
 
-def _demo_file() -> Path:
+def _demo_file(directory: Path) -> Path:
     """Synthesize a circuit-like matrix and write it to disk."""
     base = random_uniform(30_000, nnz_per_row=5.0, seed=3)
     A = with_dense_rows(base, n_dense=3, dense_nnz=18_000, seed=4)
-    path = Path(tempfile.mkdtemp()) / "circuit_demo.mtx"
+    path = directory / "circuit_demo.mtx"
     write_matrix_market(A, path, comment="synthetic circuit demo")
     print(f"wrote demo matrix to {path}")
     return path
 
 
 def main() -> None:
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else _demo_file()
-
     # 1. Load.
-    A = read_matrix_market(path)
+    if len(sys.argv) > 1:
+        path = Path(sys.argv[1])
+        A = read_matrix_market(path)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _demo_file(Path(tmp))
+            A = read_matrix_market(path)
     print(f"loaded {path.name}: {A.nrows}x{A.ncols}, nnz={A.nnz}")
 
     # 2. Features (what the classifier sees).

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full local gate: lint + tier-1 tests + benchmark self-tests +
 # zero-allocation perf smoke + parallel smoke + fault suite + watchdog
-# smoke + engine permutation smoke + calibration smoke.
+# smoke + engine permutation smoke + calibration smoke + examples.
 #
 # One command that runs everything CI checks, in the order that fails
 # fastest: the lint gate (scripts/lint.sh: ruff, or a byte-compile
@@ -21,7 +21,7 @@
 # RuntimeWarning inside a recovery path is a silent NaN leak), then the
 # hang-injection watchdog smoke proving a hung worker is timed out and
 # degraded within the deadline budget instead of blocking the caller,
-# and finally the composable-engine smoke: a permutation matrix through
+# then the composable-engine smoke: a permutation matrix through
 # the full guard+supervision stack on 2 threads (warnings as errors)
 # plus the CLI engine-spec round-trip check and a guarded supervised
 # `repro-spmv run` (its exit status is the bit-identity check against
@@ -29,34 +29,36 @@
 # smoke: `repro-spmv calibrate --quick` writes a host MachineProfile,
 # a CalibratedModel plan folds it into the cache key, and the pytest
 # smoke asserts execute spans carry predicted/measured Gflop/s and
-# model_error_pct with refine() shrinking the error. Exit status is
-# the first failing stage's.
+# model_error_pct with refine() shrinking the error, and finally every
+# examples/*.py script runs end to end (a deleted or renamed public
+# name an example still uses fails here). Exit status is the first
+# failing stage's.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "check: stage 1/9 lint"
+echo "check: stage 1/10 lint"
 sh scripts/lint.sh
 
-echo "check: stage 2/9 tier-1 tests"
+echo "check: stage 2/10 tier-1 tests"
 PYTHONPATH=src python -m pytest -x -q --ignore=tests/perf
 
-echo "check: stage 3/9 benchmark self-tests"
+echo "check: stage 3/10 benchmark self-tests"
 PYTHONPATH=src python -m pytest -q bench/
 
-echo "check: stage 4/9 perf smoke (zero-alloc + warm-start overhead)"
+echo "check: stage 4/10 perf smoke (zero-alloc + warm-start overhead)"
 PYTHONPATH=src python -m pytest -x -q tests/perf
 
-echo "check: stage 5/9 measured-parallel smoke (nthreads=2)"
+echo "check: stage 5/10 measured-parallel smoke (nthreads=2)"
 PYTHONPATH=src python -m pytest -x -q -m perf_smoke tests/perf/test_parallel_smoke.py
 
-echo "check: stage 6/9 fault suite (warnings as errors)"
+echo "check: stage 6/10 fault suite (warnings as errors)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning tests/faults
 
-echo "check: stage 7/9 hang-injection watchdog smoke"
+echo "check: stage 7/10 hang-injection watchdog smoke"
 PYTHONPATH=src python -m pytest -x -q -k watchdog tests/faults/test_parallel_faults.py
 
-echo "check: stage 8/9 engine permutation smoke (guard+supervision, 2 threads)"
+echo "check: stage 8/10 engine permutation smoke (guard+supervision, 2 threads)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning \
     -k permutation_smoke_guard_supervision_two_threads \
     tests/engine/test_permutations.py
@@ -69,7 +71,7 @@ run_out="$(PYTHONPATH=src python -m repro.cli run smallfem \
 printf '%s\n' "$run_out" | grep -q "^stack: .*guard -> kernel\[" \
     || { echo "check: guarded supervised stack FAILED" >&2; exit 1; }
 
-echo "check: stage 9/9 calibration smoke (quick profile + calibrated plan)"
+echo "check: stage 9/10 calibration smoke (quick profile + calibrated plan)"
 calib_tmp="$(mktemp -d)"
 trap 'rm -rf "$calib_tmp"' EXIT
 PYTHONPATH=src python -m repro.cli calibrate --quick \
@@ -79,5 +81,11 @@ PYTHONPATH=src python -m repro.cli plan smallfem \
     | grep -q "cost_model=calibrated:" \
     || { echo "check: calibrated plan FAILED" >&2; exit 1; }
 PYTHONPATH=src python -m pytest -x -q tests/model/test_calibration_smoke.py
+
+echo "check: stage 10/10 examples (each examples/*.py exits 0)"
+for example in examples/*.py; do
+    PYTHONPATH=src python "$example" > /dev/null \
+        || { echo "check: $example FAILED" >&2; exit 1; }
+done
 
 echo "check: all stages passed"

@@ -82,7 +82,7 @@ from .guard import (
     quarantined_kernel_names,
 )
 from .parallel import ParallelConfig, ParallelMeasurement
-from .pipeline import PipelineContext, PipelineRunner, Tracer
+from .pipeline import PipelineContext, Tracer
 from .engine import (
     Executor,
     ExecutorSpec,
@@ -152,7 +152,6 @@ __all__ = [
     # pipeline
     "Tracer",
     "PipelineContext",
-    "PipelineRunner",
     # engine
     "Executor",
     "ExecutorSpec",

@@ -434,14 +434,18 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .pipeline import PipelineRunner, Tracer
+    from .pipeline import Tracer
 
     machine = get_platform(args.platform)
     csr = _load_matrix(args.matrix, args.scale)
     tracer = Tracer()
-    runner = PipelineRunner(machine, tracer=tracer)
     optimizer = AdaptiveSpMV(machine, classifier="profile")
-    _, result = runner.run_optimized(optimizer, csr)
+    op = optimizer.optimize(csr, tracer=tracer)
+    with tracer.span("execute") as span:
+        result = op.simulate()
+        span.set(**result.summary(), cost_model=op.model.signature(),
+                 predicted_gflops=float(result.gflops),
+                 cache_hit=op.plan.cache_hit)
     if args.output == "-":
         print(tracer.to_json())
     else:
@@ -454,11 +458,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    import time
-
     import numpy as np
 
     from .engine import ExecutorSpec
+    from .kernels.microbench import time_callable
     from .pipeline import Tracer
 
     try:
@@ -478,14 +481,9 @@ def _cmd_run(args) -> int:
     print(f"stack: {engine.describe()}")
     x = np.linspace(-1.0, 1.0, csr.ncols)
     out = np.empty(csr.nrows)
-    engine.apply(x, out=out)  # warm up pool + workspace
-    best = None
-    for _ in range(max(1, args.repeats)):
-        t0 = time.perf_counter()
-        engine.apply(x, out=out)
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
+    # One warmup apply fills the pool and the workspace.
+    best = time_callable(lambda: engine.apply(x, out=out),
+                         repeats=max(1, args.repeats), warmup=1).best_seconds
     identical = bool(np.array_equal(out, csr.matvec(x)))
     flops = 2.0 * csr.nnz
     print(
@@ -533,7 +531,7 @@ def _parse_threads(spec: str) -> tuple[int, ...]:
 def _cmd_parallel(args) -> int:
     from .experiments.common import render_table
     from .kernels import baseline_kernel
-    from .pipeline import PipelineRunner
+    from .model import AnalyticModel, measure_parallel
     from .sched import SCHEDULE_POLICIES
 
     try:
@@ -587,13 +585,13 @@ def _cmd_parallel(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    runner = PipelineRunner(machine, model=model)
+    predictor = model if model is not None else AnalyticModel(machine)
     rows = []
     ladders = []
     for schedule in schedules:
         for nthreads in threads:
-            result, meas, report = runner.measure_parallel(
-                kernel, csr, nthreads, schedule=schedule,
+            result, meas, report = measure_parallel(
+                predictor, kernel, csr, nthreads, schedule=schedule,
                 repeats=args.repeats,
                 deadline_seconds=deadline_seconds,
                 max_retries=max_retries,

@@ -819,7 +819,6 @@ class AdaptiveSpMV:
             classifier_kind=self.classifier_kind,
             pool=self.pool,
             materialize=materialize,
-            nthreads=self.nthreads,
             spec=self.spec,
             model=self.model,
             tracer=tracer,

@@ -21,11 +21,11 @@ cross-thread reduction), so degrading never changes numerics — only
 wall time.
 
 Demotions are recorded in a quarantine-style process-global registry
-keyed by :meth:`~repro.parallel.plane.ParallelConfig.signature`, so a
-configuration that already failed starts directly at its demoted width
-instead of re-walking the ladder on every apply, and planners
-(:class:`~repro.pipeline.stages.ExecuteStage`, the plan cache) can
-consult :func:`demoted_target` before re-planning a degraded setup.
+keyed by :meth:`~repro.parallel.plane.ParallelConfig.signature`:
+:class:`SupervisedExecutor` reads a configuration's demoted width with
+:func:`demoted_target` before every apply, so a configuration that
+already failed starts directly at that width instead of re-walking the
+ladder.
 Each apply optionally records a ``supervise`` Tracer span carrying the
 full :class:`SupervisionReport` (see docs/observability.md).
 

@@ -11,14 +11,13 @@ These probe the design choices the paper fixes without sweeping:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..kernels import ConfiguredSpMV, SpMVConfig, baseline_kernel
 from ..machine import KNC, KNL, MachineSpec
-from ..matrices import load_suite, named_matrix, training_suite
+from ..matrices import load_suite, named_matrix
 from ..matrices.features import PAPER_ON_SUBSET, PAPER_ONNZ_SUBSET, O1_FEATURES
 from ..ml import DecisionTree, k_fold
-from .common import ExperimentTable, PipelineRunner
+from ..model import AnalyticModel
+from .common import ExperimentTable
 from .table4 import corpus_features_and_labels
 
 __all__ = [
@@ -35,7 +34,7 @@ __all__ = [
 
 def imb_strategy(machine: MachineSpec = KNL, scale: float = 1.0) -> ExperimentTable:
     """A1: which IMB remedy wins where."""
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     base = baseline_kernel()
     variants = {
         "decompose": ConfiguredSpMV(SpMVConfig(decompose=True)),
@@ -56,10 +55,10 @@ def imb_strategy(machine: MachineSpec = KNL, scale: float = 1.0) -> ExperimentTa
     )
     for name, kind in cases:
         csr = named_matrix(name, scale=scale)
-        r0 = runner.simulate(base, csr)
+        r0 = model.run(base, base.preprocess(csr))
         row = [name, kind]
         for kernel in variants.values():
-            r = runner.simulate(kernel, csr)
+            r = model.run(kernel, kernel.preprocess(csr))
             row.append(float(r.gflops / r0.gflops))
         table.add(*row)
     table.note(
@@ -71,7 +70,7 @@ def imb_strategy(machine: MachineSpec = KNL, scale: float = 1.0) -> ExperimentTa
 
 def delta_width(machine: MachineSpec = KNC, scale: float = 1.0) -> ExperimentTable:
     """A2: forced delta widths vs the automatic choice."""
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     base = baseline_kernel()
     table = ExperimentTable(
         experiment_id="ablation-delta",
@@ -83,7 +82,7 @@ def delta_width(machine: MachineSpec = KNC, scale: float = 1.0) -> ExperimentTab
     for spec, csr in load_suite(
         scale=scale, names=("consph", "boneS10", "poisson3Db", "webbase-1M")
     ):
-        r0 = runner.simulate(base, csr)
+        r0 = model.run(base, base.preprocess(csr))
         row: list = [spec.name]
         auto_width = None
         resets8 = None
@@ -97,7 +96,7 @@ def delta_width(machine: MachineSpec = KNC, scale: float = 1.0) -> ExperimentTab
                 resets8 = delta.n_resets / max(csr.nnz, 1)
             if width is None:
                 auto_width = delta.width
-            r = runner.simulate(kernel, csr, data=data)
+            r = model.run(kernel, data)
             row.append(float(r.gflops / r0.gflops))
         row.append(f"{auto_width}-bit")
         row.append(float(resets8))
@@ -112,7 +111,7 @@ def delta_width(machine: MachineSpec = KNC, scale: float = 1.0) -> ExperimentTab
 def scheduling_policies(machine: MachineSpec = KNC,
                         scale: float = 1.0) -> ExperimentTable:
     """A3: baseline-kernel scheduling policy comparison."""
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     policies = ("static-rows", "balanced-nnz", "auto", "dynamic")
     table = ExperimentTable(
         experiment_id="ablation-sched",
@@ -126,7 +125,7 @@ def scheduling_policies(machine: MachineSpec = KNC,
         row: list = [spec.name]
         for policy in policies:
             kernel = ConfiguredSpMV(SpMVConfig(schedule=policy))
-            r = runner.simulate(kernel, csr, label=f"sched:{policy}")
+            r = model.run(kernel, kernel.preprocess(csr))
             row.append(float(r.gflops))
         table.add(*row)
     table.note(
@@ -205,7 +204,7 @@ def bcsr_vs_delta(machine: MachineSpec = KNC,
     """
     from ..kernels import baseline_kernel, pool_kernel
 
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     base = baseline_kernel()
     table = ExperimentTable(
         experiment_id="ablation-bcsr",
@@ -228,11 +227,11 @@ def bcsr_vs_delta(machine: MachineSpec = KNC,
     )
     delta = pool_kernel("compression")
     for name, csr in cases:
-        r0 = runner.simulate(base, csr)
-        rd = runner.simulate(delta, csr)
+        r0 = model.run(base, base.preprocess(csr))
+        rd = model.run(delta, delta.preprocess(csr))
         bcsr = pool_kernel("bcsr")
         data = bcsr.preprocess(csr)
-        rb = runner.simulate(bcsr, csr, data=data)
+        rb = model.run(bcsr, data)
         table.add(
             name,
             float(rd.gflops / r0.gflops),
@@ -261,7 +260,7 @@ def format_landscape(machine: MachineSpec = KNC,
     """
     from ..kernels import baseline_kernel, merged_pool_kernel, pool_kernel
 
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     base = baseline_kernel()
     table = ExperimentTable(
         experiment_id="ablation-formats",
@@ -291,7 +290,7 @@ def format_landscape(machine: MachineSpec = KNC,
 
     vec = ConfiguredSpMV(SpMVConfig(vectorize=True))
     for name, archetype, csr in cases:
-        r0 = runner.simulate(base, csr)
+        r0 = model.run(base, base.preprocess(csr))
         row = [name, archetype]
         results = {}
         for label, kernel in (
@@ -300,7 +299,7 @@ def format_landscape(machine: MachineSpec = KNC,
             ("bcsr 2x2", pool_kernel("bcsr")),
             ("sell-8", pool_kernel("sell-c-sigma")),
         ):
-            r = runner.simulate(kernel, csr, label=label)
+            r = model.run(kernel, kernel.preprocess(csr))
             results[label] = r.gflops / r0.gflops
             row.append(float(results[label]))
         row.append(max(results, key=results.get))
@@ -323,7 +322,6 @@ def architecture_sensitivity(matrix_name: str = "poisson3Db",
     — the same migration the paper observes between its platforms.
     """
     from ..core import classify_from_bounds, format_classes
-    from ..model import AnalyticModel
 
     csr = named_matrix(matrix_name, scale=scale)
     table = ExperimentTable(

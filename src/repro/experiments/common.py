@@ -15,13 +15,11 @@ import numpy as np
 from ..core import FeatureGuidedClassifier
 from ..machine import MachineSpec
 from ..matrices import training_suite
-from ..pipeline import PipelineRunner
 
 __all__ = [
     "render_table",
     "geometric_mean",
     "ExperimentTable",
-    "PipelineRunner",
     "trained_feature_classifier",
 ]
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from ..kernels import baseline_kernel, single_optimization_kernels
 from ..machine import KNC, MachineSpec
 from ..matrices import load_suite
-from .common import ExperimentTable, PipelineRunner
+from ..model import AnalyticModel
+from .common import ExperimentTable
 
 __all__ = ["run"]
 
@@ -19,7 +20,7 @@ __all__ = ["run"]
 def run(machine: MachineSpec = KNC, scale: float = 1.0,
         names: tuple[str, ...] | None = None) -> ExperimentTable:
     """Regenerate Fig. 1 on ``machine`` (paper uses KNC)."""
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     base = baseline_kernel()
     singles = single_optimization_kernels()
 
@@ -34,10 +35,10 @@ def run(machine: MachineSpec = KNC, scale: float = 1.0,
     slowdown_seen = {name: False for name in singles}
     speedup_seen = {name: False for name in singles}
     for spec, csr in load_suite(scale=scale, names=names):
-        r0 = runner.simulate(base, csr)
+        r0 = model.run(base, base.preprocess(csr))
         row = [spec.name]
         for name, kernel in singles.items():
-            r = runner.simulate(kernel, csr)
+            r = model.run(kernel, kernel.preprocess(csr))
             s = r.gflops / r0.gflops
             row.append(float(s))
             if s < 0.98:

@@ -15,9 +15,9 @@ from ..core import AdaptiveSpMV, format_classes, oracle_search
 from ..kernels import baseline_kernel
 from ..machine import MachineSpec, get_platform
 from ..matrices import load_suite
+from ..model import AnalyticModel
 from .common import (
     ExperimentTable,
-    PipelineRunner,
     geometric_mean,
     trained_feature_classifier,
 )
@@ -36,7 +36,7 @@ def run(
     machine = (
         get_platform(platform) if isinstance(platform, str) else platform
     )
-    runner = PipelineRunner(machine)
+    model = AnalyticModel(machine)
     mkl = mkl_csr_kernel()
     base = baseline_kernel()
     has_ie = machine.codename != "knc"
@@ -62,13 +62,13 @@ def run(
 
     speedups = {"feat": [], "prof": [], "ie": []}
     for spec, csr in load_suite(scale=scale, names=names):
-        r_mkl = runner.simulate(mkl, csr)
+        r_mkl = model.run(mkl, mkl.preprocess(csr))
         row: list = [spec.name, float(r_mkl.gflops)]
         if has_ie:
             r_ie = ie.optimize(csr).result
             row.append(float(r_ie.gflops))
             speedups["ie"].append(r_ie.gflops / r_mkl.gflops)
-        r_base = runner.simulate(base, csr)
+        r_base = model.run(base, base.preprocess(csr))
         row.append(float(r_base.gflops))
 
         op_f = feat_opt.optimize(csr)

@@ -10,10 +10,11 @@ simulated).
 
 from __future__ import annotations
 
+from ..kernels.microbench import time_callable
 from ..matrices import FEATURE_COMPLEXITY, FEATURE_NAMES
 from ..matrices.features import extract_features
 from ..matrices.generators import random_uniform
-from .common import ExperimentTable, PipelineRunner
+from .common import ExperimentTable
 
 __all__ = ["run", "extraction_scaling"]
 
@@ -46,14 +47,13 @@ def extraction_scaling(
         title="Feature extraction wall time vs matrix size",
         headers=("rows", "nnz", "seconds"),
     )
-    runner = PipelineRunner()
     times = []
     for n in sizes:
         csr = random_uniform(n, nnz_per_row=nnz_per_row, seed=7)
-        best = runner.time_seconds(
+        best = time_callable(
             lambda: extract_features(csr).as_array(), repeats=repeats,
-            reduce="min", label=f"extract:{n}",
-        )
+            warmup=0,
+        ).best_seconds
         times.append(best)
         table.add(n, csr.nnz, float(best))
     # Linear-scaling note: time ratio should not exceed ~2x the size ratio.

@@ -9,17 +9,27 @@ output vector (one extra pass over y).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..formats import CSRMatrix
 from ..formats.sellcs import SellCSigmaMatrix
 from ..machine import KernelCost, MachineSpec
-from ..machine.cache import stream_cost
-from ..sched import Partition, make_partition
+from ..machine.cache import stream_cost, stream_counts
+from ..sched import Partition
+from ..sched.policies import _balanced_offsets
 from .base import Kernel
 from .preprocess_cost import JIT_CODEGEN_SECONDS, pass_seconds
 
 __all__ = ["SellCSigmaSpMV"]
+
+#: :func:`~repro.machine.cache.stream_counts` of each matrix's x stream,
+#: per line width: one pass per matrix object, as
+#: :func:`~repro.machine.cache.x_access_stats` does for CSR.
+_STREAM_COUNTS: "weakref.WeakKeyDictionary[SellCSigmaMatrix, dict]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class SellCSigmaSpMV(Kernel):
@@ -66,19 +76,7 @@ class SellCSigmaSpMV(Kernel):
 
     def partition(self, data: SellCSigmaMatrix, nthreads: int) -> Partition:
         # balance stored slots across threads over chunks
-        proxy = self._chunk_proxy(data)
-        return make_partition(proxy, nthreads, "balanced-nnz")
-
-    @staticmethod
-    def _chunk_proxy(data: SellCSigmaMatrix) -> CSRMatrix:
-        """One proxy row per chunk, sized by its stored slots."""
-        return CSRMatrix(
-            data.chunk_ptr.copy(),
-            np.zeros(int(data.chunk_ptr[-1]), dtype=np.int32),
-            np.zeros(int(data.chunk_ptr[-1])),
-            (data.nchunks, max(data.ncols, 1)),
-            trusted=True,
-        )
+        return _balanced_offsets(data.chunk_ptr, nthreads)
 
     def _schedulable(self, data):  # pragma: no cover
         raise NotImplementedError("SellCSigmaSpMV builds its own partition")
@@ -145,7 +143,11 @@ class SellCSigmaSpMV(Kernel):
 
 def _aggregate_x_cost(data: SellCSigmaMatrix, machine: MachineSpec) -> dict:
     """Total x latency/traffic of the stored gather stream (issue
-    order, padding slots excluded)."""
-    mask = data.values != 0.0
-    cols = data.colind[mask].astype(np.int64)
-    return stream_cost(cols, data.ncols, machine)
+    order, padding slots excluded), from its counts memoized per matrix
+    object and line width."""
+    per_matrix = _STREAM_COUNTS.setdefault(data, {})
+    line = machine.line_elems
+    if line not in per_matrix:
+        cols = data.colind[data.values != 0.0]
+        per_matrix[line] = stream_counts(cols, data.ncols, line)
+    return stream_cost(per_matrix[line], machine)

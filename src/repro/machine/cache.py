@@ -236,24 +236,28 @@ def max_row_miss_latency(csr: CSRMatrix, machine: MachineSpec) -> float:
     return float(x_miss_cost(csr, machine, p[row], s[row])[0])
 
 
-def stream_cost(cols, ncols: int, machine: MachineSpec) -> dict:
-    """Latency/traffic of an arbitrary x gather stream (column order
-    as issued). Used by kernels whose access order is not row-major
-    CSR (e.g. SELL-C-sigma's chunk-column-major stream).
-
-    Returns ``{"latency_ns": float, "dram_bytes": float}`` totals.
-    """
+def stream_counts(cols, ncols: int, line_elems: int) -> tuple[int, int, int]:
+    """Machine-independent counts of an arbitrary x gather stream
+    (column order as issued): ``(may miss, hardware-prefetchable,
+    distinct lines)``, the first access counting as a miss. Used by
+    kernels whose access order is not row-major CSR (e.g. SELL-C-sigma's
+    chunk-column-major stream, which memoizes them per matrix);
+    :func:`stream_cost` prices them."""
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:
-        return {"latency_ns": 0.0, "dram_bytes": 0.0}
-    line = machine.line_elems
+        return 0, 0, 0
     gaps = np.abs(np.diff(cols, prepend=cols[:1] - 10**9))
-    may_miss, strided = _miss_criterion(gaps, line)
-    local, llc = _residency(
-        _distinct_lines(cols, ncols, line) * machine.line_bytes, machine
-    )
+    may_miss, strided = _miss_criterion(gaps, line_elems)
+    return (int(np.count_nonzero(may_miss)), int(np.count_nonzero(strided)),
+            _distinct_lines(cols, ncols, line_elems))
+
+
+def stream_cost(counts: tuple[int, int, int], machine: MachineSpec) -> dict:
+    """Latency/traffic totals of an x gather stream from its
+    :func:`stream_counts`: ``{"latency_ns": float, "dram_bytes": float}``."""
+    may_miss, strided, lines = counts
+    local, llc = _residency(lines * machine.line_bytes, machine)
     latency_ns, dram_bytes = _miss_cost(
-        float(np.count_nonzero(may_miss)), float(np.count_nonzero(strided)),
-        local, llc, machine,
+        float(may_miss), float(strided), local, llc, machine,
     )
     return {"latency_ns": float(latency_ns), "dram_bytes": float(dram_bytes)}

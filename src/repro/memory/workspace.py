@@ -14,10 +14,9 @@ runs with zero new array allocations.
 
 One arena is attached per reusable execution context: the plan-cache
 entry behind an :class:`~repro.core.optimizer.OptimizedSpMV` (repeat
-``optimize()`` calls of one plan share one arena), a
-:class:`~repro.pipeline.runner.PipelineRunner`, and a
-:class:`~repro.engine.guard.GuardedKernel`. The hit/miss/bytes-held
-counters are exported into tracer spans (see docs/observability.md).
+``optimize()`` calls of one plan share one arena) and a
+:class:`~repro.engine.guard.GuardedKernel`. :meth:`Workspace.counters`
+reports the hit/miss/bytes-held counters (see docs/performance.md).
 
 Buffers are handed out *dirty* — callers must overwrite or zero them.
 

@@ -27,7 +27,12 @@ from .base import (
     profiling_seconds,
 )
 from .calibrated import CalibratedModel
-from .profile import PROFILE_SCHEMA_VERSION, MachineProfile, calibrate
+from .profile import (
+    PROFILE_SCHEMA_VERSION,
+    MachineProfile,
+    calibrate,
+    measure_parallel,
+)
 from .signature import (
     body_checksum,
     canonical_body,
@@ -47,6 +52,7 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "PROFILING_ITERATIONS",
     "calibrate",
+    "measure_parallel",
     "profiling_seconds",
     "prediction_error_pct",
     "matrix_fingerprint",

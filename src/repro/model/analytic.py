@@ -74,8 +74,9 @@ class AnalyticModel:
 
         ``partition`` defaults to the kernel's preferred partitioning
         at ``nthreads``, which overrides the model's default for this
-        call only (the execute stage predicts at the *measured* thread
-        count this way). An explicit partition fixes the width.
+        call only (:func:`~repro.model.measure_parallel` predicts at
+        the *measured* thread count this way). An explicit partition
+        fixes the width.
         """
         width = self._threads(nthreads)
         if partition is None:

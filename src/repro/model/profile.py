@@ -26,7 +26,8 @@ import numpy as np
 
 from .signature import body_checksum, read_checksummed, write_checksummed
 
-__all__ = ["PROFILE_SCHEMA_VERSION", "MachineProfile", "calibrate"]
+__all__ = ["PROFILE_SCHEMA_VERSION", "MachineProfile", "calibrate",
+           "measure_parallel"]
 
 #: Version of the persisted profile layout.
 PROFILE_SCHEMA_VERSION = 1
@@ -338,3 +339,94 @@ def calibrate(machine, *, quick: bool = False,
         quick=quick,
         samples=samples,
     )
+
+
+def measure_parallel(model, kernel, csr, nthreads: int, *,
+                     schedule: str | None = None,
+                     chunk_rows: int | None = None, repeats: int = 3,
+                     data=None,
+                     deadline_seconds: "float | str | None" = None,
+                     max_retries: int = 2, tracer=None):
+    """Run ``kernel`` for real on ``nthreads`` pool threads under
+    supervision and set the run beside ``model``'s prediction.
+
+    Returns ``(result, measurement, supervision)``: ``result`` is
+    ``model``'s :class:`~repro.machine.engine.RunResult` at
+    ``nthreads``; ``measurement`` the fastest of ``repeats``
+    :class:`~repro.parallel.plane.ParallelMeasurement` runs (``None``
+    when every repeat degraded to the serial fallback); ``supervision``
+    the last repeat's :class:`~repro.engine.supervision.
+    SupervisionReport`, the ladder walked under ``deadline_seconds``
+    (``"auto"``: :meth:`~repro.model.AnalyticModel.suggest_deadline`).
+
+    With a ``tracer``, one ``execute`` span records the prediction,
+    the measured imbalance and Gflop/s and ``model_error_pct``. A model
+    with ``observe`` (:class:`~repro.model.CalibratedModel`) receives
+    the predicted and measured seconds for its next ``refine()``.
+    """
+    from ..engine import ExecutorSpec, SupervisionSpec, build_executor
+    from ..parallel import ParallelConfig
+    from .base import prediction_error_pct
+
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if isinstance(deadline_seconds, str) and deadline_seconds != "auto":
+        raise ValueError(
+            "deadline_seconds must be a number, None, or 'auto'"
+        )
+    t0 = time.perf_counter()
+    if data is None:
+        data = kernel.preprocess(csr)
+    result = model.run(kernel, data, nthreads=nthreads)
+    if deadline_seconds == "auto":
+        deadline_seconds = model.suggest_deadline(kernel, data,
+                                                  nthreads=nthreads)
+    sup = build_executor(
+        csr,
+        ExecutorSpec(
+            parallel=ParallelConfig(
+                nthreads=nthreads,
+                schedule=schedule or getattr(kernel, "schedule",
+                                             "balanced-nnz"),
+                chunk_rows=chunk_rows),
+            supervision=SupervisionSpec(deadline_seconds=deadline_seconds,
+                                        max_retries=max_retries),
+        ),
+        kernel=kernel,
+    )
+    x = np.ones(csr.ncols)
+    best = report = None
+    for _ in range(repeats):
+        sup.apply(x)
+        report = sup.last_report
+        m = sup.last_measurement
+        if m is not None and (best is None
+                              or m.wall_seconds < best.wall_seconds):
+            best = m
+    attributes = dict(
+        result.summary(),
+        cost_model=model.signature(),
+        predicted_gflops=float(result.gflops),
+        predicted_imbalance=result.imbalance,
+        supervision=report.summary(),
+    )
+    if best is not None:
+        measured_gflops = (2.0 * csr.nnz / best.wall_seconds / 1e9
+                           if best.wall_seconds > 0 else 0.0)
+        attributes.update(
+            measured=best.summary(),
+            measured_imbalance=best.imbalance,
+            measured_wall_imbalance=best.wall_imbalance,
+            parallel_nthreads=best.nthreads,
+            parallel_schedule=best.schedule,
+            measured_gflops=float(measured_gflops),
+            model_error_pct=float(
+                prediction_error_pct(result.gflops, measured_gflops)),
+        )
+        observe = getattr(model, "observe", None)
+        if observe is not None:
+            observe(kernel.name, result.seconds, best.wall_seconds)
+    if tracer is not None:
+        tracer.record("execute", wall_seconds=time.perf_counter() - t0,
+                      **attributes)
+    return result, best, report

@@ -1,21 +1,18 @@
-"""Staged planning pipeline (analyze → classify → select → transform →
-execute) with per-stage telemetry.
+"""Staged planning pipeline (analyze → classify → select → transform)
+with per-stage telemetry.
 
 The package splits :class:`~repro.core.optimizer.AdaptiveSpMV`'s
-decision process into five explicitly composable stages
+decision process into four explicitly composable stages
 (:mod:`repro.pipeline.stages`), threads their state through a
-:class:`PipelineContext`, records a :class:`Span` per stage on a
-:class:`Tracer` (JSON-exportable; ``repro-spmv trace``), and provides
-the one instrumented :class:`PipelineRunner` that every experiment
-driver and benchmark measures through. See docs/observability.md.
+:class:`PipelineContext`, and records a :class:`Span` per stage on a
+:class:`Tracer` (JSON-exportable; ``repro-spmv trace``). See
+docs/observability.md.
 """
 
 from .context import PipelineContext
-from .runner import PipelineRunner
 from .stages import (
     AnalyzeStage,
     ClassifyStage,
-    ExecuteStage,
     SelectStage,
     Stage,
     TransformStage,
@@ -29,13 +26,11 @@ __all__ = [
     "Span",
     "Tracer",
     "PipelineContext",
-    "PipelineRunner",
     "Stage",
     "AnalyzeStage",
     "ClassifyStage",
     "SelectStage",
     "TransformStage",
-    "ExecuteStage",
     "default_planning_stages",
     "run_stages",
 ]

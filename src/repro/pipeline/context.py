@@ -21,7 +21,7 @@ __all__ = ["PipelineContext"]
 
 @dataclass
 class PipelineContext:
-    """Everything one planning/execution run reads and writes.
+    """Everything one planning run reads and writes.
 
     Inputs are set by the caller; the remaining fields start empty and
     are filled by the stages (see :mod:`repro.pipeline.stages` for
@@ -41,12 +41,11 @@ class PipelineContext:
     #: convert the execution format for real (``optimize``) or only
     #: charge its modeled cost (``plan``)?
     materialize: bool = True
-    nthreads: int | None = None
     #: the optimizer's :class:`~repro.engine.ExecutorSpec` — folded
     #: into the built plan so a cached plan rebuilds the same stack.
     spec: object | None = None
-    #: the :class:`~repro.model.base.CostModel` predictions run through
-    #: (None: stages fall back to a fresh analytic model).
+    #: the optimizer's :class:`~repro.model.base.CostModel`, whose
+    #: signature the built plan records (None: ``"analytic"``).
     model: object | None = None
     tracer: Tracer = field(default_factory=Tracer)
 
@@ -59,14 +58,6 @@ class PipelineContext:
     quarantined: tuple[str, ...] = ()       # select (substituted names)
     setup_seconds: float = 0.0              # transform (modeled cost)
     data: object | None = None              # transform (when materialized)
-    result: object | None = None            # execute (RunResult)
-    #: measured parallel run (:class:`~repro.parallel.plane.
-    #: ParallelMeasurement`) when the execute stage ran on the real pool
-    measured: object | None = None          # execute (nthreads= option)
-    #: supervision outcome (:class:`~repro.engine.supervision.
-    #: SupervisionReport`) of the measured parallel run — records the
-    #: degradation ladder the execute stage walked, if any
-    supervision: object | None = None       # execute (nthreads= option)
 
     def build_plan(self):
         """Freeze the run's decisions into an :class:`OptimizationPlan`."""

@@ -1,4 +1,4 @@
-"""The five pipeline stages: analyze → classify → select → transform → execute.
+"""The four planning stages: analyze → classify → select → transform.
 
 Each stage is a small object with a ``name`` and a ``run(ctx, span)``
 method that reads and writes only the :class:`~repro.pipeline.context.
@@ -18,14 +18,13 @@ select       map classes to pool optimizations (reading the features
              variants
 transform    charge the modeled setup cost; build the kernel's data
              bundle when the run asks for it
-execute      simulate one kernel execution on the target machine
 ==========  ========================================================
 
-``AdaptiveSpMV`` composes the first four (see
-:func:`default_planning_stages`); the :class:`~repro.pipeline.runner.
-PipelineRunner` appends :class:`ExecuteStage`. Custom stages plug in by
-matching the :class:`Stage` protocol — replace, reorder or extend via
-``AdaptiveSpMV(stages=...)``.
+``AdaptiveSpMV`` composes them (see :func:`default_planning_stages`).
+Custom stages plug in by matching the :class:`Stage` protocol —
+replace, reorder or extend via ``AdaptiveSpMV(stages=...)``. Simulating
+the planned kernel is one cost-model call
+(:meth:`~repro.core.optimizer.OptimizedSpMV.simulate`), not a stage.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Protocol, runtime_checkable
 from ..kernels import baseline_kernel, is_quarantined, merged_pool_kernel
 from ..kernels.registry import kernel_failure_count
 from ..matrices.features import extract_features
-from ..model import AnalyticModel, prediction_error_pct
 from .context import PipelineContext
 from .tracer import Span
 
@@ -45,7 +43,6 @@ __all__ = [
     "ClassifyStage",
     "SelectStage",
     "TransformStage",
-    "ExecuteStage",
     "default_planning_stages",
     "run_stages",
 ]
@@ -162,158 +159,9 @@ class TransformStage:
         )
 
 
-class ExecuteStage:
-    """Predict one kernel execution through the context's cost model.
-
-    With ``nthreads`` set, additionally *runs* the kernel on the real
-    shared-memory parallel plane — through an engine stack
-    (:func:`repro.engine.build_executor` with a supervision layer), so a worker
-    fault or a breached ``deadline_seconds`` degrades through the
-    retry/serial ladder instead of crashing the pipeline — and records
-    the measured per-thread wall and CPU times next to the model's
-    prediction: the span then carries ``measured_imbalance`` (observed)
-    and ``predicted_imbalance`` (cost-plane) for the same thread count,
-    the ``predicted_gflops`` / ``measured_gflops`` /
-    ``model_error_pct`` triple that feeds
-    :meth:`~repro.model.CalibratedModel.refine`, plus the
-    ``supervision`` ladder outcome when the run degraded.
-
-    ``deadline_seconds`` accepts the string ``"auto"``: the watchdog
-    budget is then derived from the model's own prediction
-    (:meth:`~repro.model.AnalyticModel.suggest_deadline`) — tight when
-    a refined calibrated model predicts host wall time, generous
-    otherwise.
-    """
-
-    name = "execute"
-
-    def __init__(self, nthreads: int | None = None,
-                 schedule: str | None = None,
-                 chunk_rows: int | None = None,
-                 repeats: int = 1,
-                 deadline_seconds: "float | str | None" = None,
-                 max_retries: int = 2):
-        if nthreads is not None and int(nthreads) < 1:
-            raise ValueError("nthreads must be >= 1")
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if isinstance(deadline_seconds, str) and deadline_seconds != "auto":
-            raise ValueError(
-                "deadline_seconds must be a number, None, or 'auto'"
-            )
-        self.nthreads = None if nthreads is None else int(nthreads)
-        self.schedule = schedule
-        self.chunk_rows = chunk_rows
-        self.repeats = int(repeats)
-        self.deadline_seconds = deadline_seconds
-        self.max_retries = int(max_retries)
-
-    @staticmethod
-    def _model(ctx: PipelineContext):
-        if ctx.model is not None:
-            return ctx.model
-        ctx.model = AnalyticModel(ctx.machine, ctx.nthreads)
-        return ctx.model
-
-    def run(self, ctx: PipelineContext, span: Span) -> None:
-        if ctx.data is None:
-            ctx.data = ctx.kernel.preprocess(ctx.csr)
-        model = self._model(ctx)
-        ctx.result = model.run(ctx.kernel, ctx.data,
-                               nthreads=ctx.nthreads)
-        span.set(**ctx.result.summary())
-        span.set(cost_model=model.signature(),
-                 predicted_gflops=float(ctx.result.gflops))
-        if self.nthreads is not None:
-            self._measure(ctx, span)
-
-    def _resolve_deadline(self, ctx: PipelineContext,
-                          model) -> float | None:
-        if self.deadline_seconds != "auto":
-            return self.deadline_seconds
-        return model.suggest_deadline(ctx.kernel, ctx.data,
-                                      nthreads=self.nthreads)
-
-    def _measure(self, ctx: PipelineContext, span: Span) -> None:
-        """Execute for real on the thread pool; span gets measured vs
-        predicted imbalance and Gflop/s at the *measured* thread count."""
-        import numpy as np
-
-        from ..engine import ExecutorSpec, SupervisionSpec, build_executor
-        from ..parallel import ParallelConfig
-
-        model = self._model(ctx)
-        schedule = self.schedule or getattr(
-            ctx.kernel, "schedule", "balanced-nnz"
-        )
-        # No tracer here on purpose: the measurement's ladder outcome is
-        # folded into *this* execute span below, not its own spans.
-        sup = build_executor(
-            ctx.csr,
-            ExecutorSpec(
-                parallel=ParallelConfig(nthreads=self.nthreads,
-                                        schedule=schedule,
-                                        chunk_rows=self.chunk_rows),
-                supervision=SupervisionSpec(
-                    deadline_seconds=self._resolve_deadline(ctx, model),
-                    max_retries=self.max_retries,
-                ),
-            ),
-            kernel=ctx.kernel,
-        )
-        x = np.ones(ctx.csr.ncols)
-        best = None
-        report = None
-        for _ in range(self.repeats):
-            sup.apply(x)
-            report = sup.last_report
-            m = sup.last_measurement
-            if m is not None and (
-                best is None or m.wall_seconds < best.wall_seconds
-            ):
-                best = m
-        # Predicted imbalance at the same thread count as the run
-        # (ctx.nthreads may differ, e.g. the machine default).
-        predicted = ctx.result
-        if ctx.nthreads != self.nthreads:
-            predicted = model.run(ctx.kernel, ctx.data,
-                                  nthreads=self.nthreads)
-        ctx.measured = best
-        ctx.supervision = report
-        span.set(
-            predicted_imbalance=predicted.imbalance,
-            supervision=report.summary(),
-        )
-        if best is not None:
-            flops = 2.0 * ctx.csr.nnz
-            measured_gflops = (
-                flops / best.wall_seconds / 1e9
-                if best.wall_seconds > 0 else 0.0
-            )
-            error_pct = prediction_error_pct(
-                predicted.gflops, measured_gflops
-            )
-            span.set(
-                measured=best.summary(),
-                measured_imbalance=best.imbalance,
-                measured_wall_imbalance=best.wall_imbalance,
-                parallel_nthreads=best.nthreads,
-                parallel_schedule=best.schedule,
-                predicted_gflops=float(predicted.gflops),
-                measured_gflops=float(measured_gflops),
-                model_error_pct=float(error_pct),
-            )
-            # Feed the online refinement loop: a calibrated model
-            # accumulates the pair and folds it in on refine().
-            observe = getattr(model, "observe", None)
-            if observe is not None:
-                observe(ctx.kernel.name, predicted.seconds,
-                        best.wall_seconds)
-
-
 def default_planning_stages() -> tuple[Stage, ...]:
     """The planning pipeline of :class:`~repro.core.optimizer.
-    AdaptiveSpMV`: everything except execution."""
+    AdaptiveSpMV`."""
     return (AnalyzeStage(), ClassifyStage(), SelectStage(),
             TransformStage())
 

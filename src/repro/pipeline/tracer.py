@@ -1,9 +1,9 @@
 """Per-stage telemetry: spans, tracers, and their JSON export.
 
 Every pipeline run (an :class:`~repro.core.optimizer.AdaptiveSpMV`
-``plan()``/``optimize()`` call, or a :class:`~repro.pipeline.runner.
-PipelineRunner` measurement) can carry a :class:`Tracer`. Each stage
-records one :class:`Span` holding two distinct clocks:
+``plan()``/``optimize()`` call) and every measured parallel run
+(:func:`~repro.model.measure_parallel`) can carry a :class:`Tracer`.
+Each stage records one :class:`Span` holding two distinct clocks:
 
 * ``wall_seconds`` — real elapsed time of the stage *in this Python
   process* (how long the reproduction itself took);

@@ -35,12 +35,12 @@ __all__ = [
 ]
 
 
-def _nonempty_rows(csr: CSRMatrix) -> int:
+def _nonempty_rows(rowptr: np.ndarray) -> int:
     """Number of rows with at least one stored nonzero."""
-    return int(np.count_nonzero(np.diff(csr.rowptr)))
+    return int(np.count_nonzero(np.diff(rowptr)))
 
 
-def _effective_threads(nthreads: int, csr: CSRMatrix) -> int:
+def _effective_threads(nthreads: int, rowptr: np.ndarray) -> int:
     """Clamp the requested thread count to the rows that carry work.
 
     More threads than nonzero-carrying rows cannot reduce the critical
@@ -48,7 +48,7 @@ def _effective_threads(nthreads: int, csr: CSRMatrix) -> int:
     before this clamp — scattered or collapsed assignments that skewed
     the simulated imbalance. Floor 1 so empty matrices still partition.
     """
-    return max(1, min(int(nthreads), _nonempty_rows(csr)))
+    return max(1, min(int(nthreads), _nonempty_rows(rowptr)))
 
 
 def static_rows(nrows: int, nthreads: int) -> Partition:
@@ -83,20 +83,28 @@ def balanced_nnz(csr: CSRMatrix, nthreads: int) -> Partition:
     across matrices while the real executor never sees a thread with
     an empty row range.
     """
+    return _balanced_offsets(csr.rowptr, nthreads)
+
+
+def _balanced_offsets(rowptr: np.ndarray, nthreads: int) -> Partition:
+    """:func:`balanced_nnz` over a row pointer alone: row ``i`` carries
+    ``rowptr[i + 1] - rowptr[i]`` units of work (nonzeros, or the
+    stored slots of a SELL-C-sigma chunk)."""
     check_positive("nthreads", nthreads)
-    nrows = csr.nrows
+    nrows = rowptr.size - 1
+    nnz = int(rowptr[-1])
     if nrows == 0:
         return Partition(1, np.empty(0, dtype=np.int32), kind="balanced-nnz",
                          boundaries=np.array([0, 0], dtype=np.int64))
-    if csr.nnz == 0:
+    if nnz == 0:
         # searchsorted on a flat rowptr would put every boundary at 0;
         # defined behavior instead: all rows on thread 0.
         return Partition(1, np.zeros(nrows, dtype=np.int32),
                          kind="balanced-nnz",
                          boundaries=np.array([0, nrows], dtype=np.int64))
-    neff = _effective_threads(nthreads, csr)
-    targets = np.linspace(0, csr.nnz, neff + 1)
-    bounds = np.searchsorted(csr.rowptr, targets, side="left").astype(np.int64)
+    neff = _effective_threads(nthreads, rowptr)
+    targets = np.linspace(0, nnz, neff + 1)
+    bounds = np.searchsorted(rowptr, targets, side="left").astype(np.int64)
     bounds[0], bounds[-1] = 0, nrows
     bounds = np.maximum.accumulate(bounds)
     # Repair duplicate boundaries into strictly increasing ones:
@@ -120,7 +128,7 @@ def _chunked(csr: CSRMatrix, nthreads: int, chunk_rows: int | None,
     """Shared round-robin chunk assignment for auto/dynamic schedules."""
     check_positive("nthreads", nthreads)
     nrows = csr.nrows
-    neff = _effective_threads(nthreads, csr)
+    neff = _effective_threads(nthreads, csr.rowptr)
     if chunk_rows is None:
         # Automatic granularity. The clamp to nrows // neff guarantees
         # at least neff chunks, so every effective thread receives work

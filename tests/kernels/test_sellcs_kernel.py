@@ -67,18 +67,103 @@ def test_chunk_validation():
 
 
 def test_stream_cost_helper():
-    from repro.machine.cache import stream_cost
+    from repro.machine.cache import stream_cost, stream_counts
+
+    def cost(cols, ncols):
+        return stream_cost(stream_counts(cols, ncols, KNC.line_elems), KNC)
 
     # resident tiny stream: free
-    free = stream_cost(np.arange(16), 16, KNC)
+    free = cost(np.arange(16), 16)
     assert free["latency_ns"] == 0.0
     # huge random stream: costly
     rng = np.random.default_rng(0)
     # working set must exceed the LLC share for DRAM traffic to appear
-    big = stream_cost(rng.integers(0, 20_000_000, size=500_000),
-                      20_000_000, KNC)
+    big = cost(rng.integers(0, 20_000_000, size=500_000), 20_000_000)
     assert big["latency_ns"] > 0.0
     assert big["dram_bytes"] > 0.0
     # empty stream
-    empty = stream_cost(np.zeros(0, dtype=np.int64), 10, KNC)
+    empty = cost(np.zeros(0, dtype=np.int64), 10)
     assert empty["latency_ns"] == 0.0
+
+
+@pytest.fixture(scope="module")
+def fem_sell():
+    from repro.matrices.generators import fem_like
+
+    k = SellCSigmaSpMV(chunk=8)
+    return k, k.preprocess(fem_like(65536, seed=5))
+
+
+def _proxy_partition(data, nthreads):
+    """balanced-nnz over a CSR proxy with one row per chunk, sized by
+    its stored slots: how the kernel partitioned before it read
+    ``chunk_ptr`` alone."""
+    from repro.formats import CSRMatrix
+    from repro.sched import balanced_nnz
+
+    slots = int(data.chunk_ptr[-1])
+    proxy = CSRMatrix(data.chunk_ptr.copy(),
+                      np.zeros(slots, dtype=np.int32), np.zeros(slots),
+                      (data.nchunks, max(data.ncols, 1)), trusted=True)
+    return balanced_nnz(proxy, nthreads)
+
+
+def _assert_same_partition(got, expected):
+    assert (got.nthreads, got.kind) == (expected.nthreads, expected.kind)
+    np.testing.assert_array_equal(got.thread_of_row, expected.thread_of_row)
+    np.testing.assert_array_equal(got.boundaries, expected.boundaries)
+
+
+@pytest.mark.parametrize("nthreads", [1, 7, 240, 100_000])
+def test_partition_reads_chunk_ptr_alone(fem_sell, nthreads):
+    """The chunk partition equals the proxy one without allocating an
+    nnz-sized proxy (1.67 M stored slots, 19 MiB of proxy arrays)."""
+    import tracemalloc
+
+    k, data = fem_sell
+    expected = _proxy_partition(data, nthreads)
+    tracemalloc.start()
+    try:
+        got = k.partition(data, nthreads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_partition(got, expected)
+    assert peak < 1 << 20
+
+
+def test_partition_of_skewed_and_empty_matrices(skewed_csr):
+    from repro.formats import CSRMatrix
+
+    empty = CSRMatrix(np.zeros(5, dtype=np.int64),
+                      np.zeros(0, dtype=np.int32), np.zeros(0), (4, 3))
+    k = SellCSigmaSpMV(chunk=4)
+    for csr in (skewed_csr, empty):
+        data = k.preprocess(csr)
+        for nthreads in (1, 3, 64):
+            _assert_same_partition(k.partition(data, nthreads),
+                                   _proxy_partition(data, nthreads))
+
+
+def test_cost_builds_the_x_stream_once(fem_sell, monkeypatch):
+    """A repeat ``cost()`` on the same matrix reads the memoized stream
+    counts instead of rescanning every stored slot."""
+    from repro.kernels import sellcs
+
+    k, data = fem_sell
+    calls = []
+    counts = sellcs.stream_counts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counts(*args, **kwargs)
+
+    monkeypatch.setattr(sellcs, "stream_counts", counting)
+    monkeypatch.setattr(sellcs, "_STREAM_COUNTS",
+                        type(sellcs._STREAM_COUNTS)())
+    partition = k.partition(data, 64)
+    first = k.cost(data, KNC, partition)
+    second = k.cost(data, KNC, partition)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first.latency_ns, second.latency_ns)
+    np.testing.assert_array_equal(first.stream_bytes, second.stream_bytes)

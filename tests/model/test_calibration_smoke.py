@@ -1,12 +1,12 @@
 """End-to-end calibration smoke: the acceptance round-trip.
 
 ``calibrate --quick`` → a host :class:`~repro.model.MachineProfile` →
-a :class:`~repro.model.CalibratedModel` planning and executing through
-the pipeline, with execute spans carrying the
-``predicted_gflops`` / ``measured_gflops`` / ``model_error_pct``
-triple → ``refine()`` demonstrably shrinking the median prediction
-error across two runs. This is the same scenario ``check.sh`` stage 8
-drives from the CLI.
+a :class:`~repro.model.CalibratedModel` predicting measured parallel
+runs (:func:`~repro.model.measure_parallel`), with execute spans
+carrying the ``predicted_gflops`` / ``measured_gflops`` /
+``model_error_pct`` triple → ``refine()`` demonstrably shrinking the
+median prediction error across two runs. This is the same scenario
+``check.sh`` stage 9 drives from the CLI.
 """
 
 import numpy as np
@@ -15,8 +15,13 @@ import pytest
 from repro.kernels import baseline_kernel
 from repro.machine import KNL
 from repro.matrices.generators import banded
-from repro.model import CalibratedModel, MachineProfile, calibrate
-from repro.pipeline import PipelineRunner, Tracer
+from repro.model import (
+    CalibratedModel,
+    MachineProfile,
+    calibrate,
+    measure_parallel,
+)
+from repro.pipeline import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +72,10 @@ def _sweep(model, csr, kernel) -> float:
     scales cannot absorb per-width effects, so the sweep keeps the
     width constant); returns the median span prediction error."""
     tracer = Tracer()
-    runner = PipelineRunner(KNL, tracer=tracer, model=model)
     for _ in range(2):
-        result, measured, _ = runner.measure_parallel(
-            kernel, csr, 2, schedule="balanced-nnz", repeats=2,
+        result, measured, _ = measure_parallel(
+            model, kernel, csr, 2, schedule="balanced-nnz", repeats=2,
+            tracer=tracer,
         )
         assert result is not None and measured is not None
     spans = [s for s in tracer.spans if s.name == "execute"]
@@ -113,9 +118,8 @@ def test_auto_deadline_through_calibrated_model(profile, csr):
     """deadline_seconds='auto' derives the watchdog budget from the
     model's prediction and the run completes undemoted."""
     model = CalibratedModel(KNL, profile)
-    runner = PipelineRunner(KNL, model=model)
-    result, measured, supervision = runner.measure_parallel(
-        baseline_kernel(), csr, 2, schedule="balanced-nnz",
+    result, measured, supervision = measure_parallel(
+        model, baseline_kernel(), csr, 2, schedule="balanced-nnz",
         repeats=1, deadline_seconds="auto",
     )
     assert measured is not None

@@ -3,8 +3,8 @@
 The fault-driven ladder walks live in ``tests/faults/
 test_parallel_faults.py``; this module covers the fault-free surface —
 transparent pass-through, executor recycling and health introspection,
-the demotion registry semantics, straggler flagging, and the
-``ExecuteStage``/``PipelineRunner`` integration.
+the demotion registry semantics, straggler flagging, and the measured
+parallel run (:func:`repro.model.measure_parallel`).
 """
 
 from __future__ import annotations
@@ -171,40 +171,39 @@ def test_stragglers_empty_on_balanced_run():
     assert m.stragglers() == ()
 
 
-# -- pipeline integration -----------------------------------------------
+# -- measured parallel run ------------------------------------------------
 
 
 def test_measure_parallel_returns_supervision(small_random_csr):
-    from repro.machine import KNL
-    from repro.pipeline import PipelineRunner
     from repro.kernels import baseline_kernel
+    from repro.machine import KNL
+    from repro.model import AnalyticModel, measure_parallel
+    from repro.pipeline import Tracer
 
-    runner = PipelineRunner(KNL)
-    result, measurement, supervision = runner.measure_parallel(
-        baseline_kernel(), small_random_csr, nthreads=2, repeats=1,
-        schedule="balanced-nnz",
+    tracer = Tracer()
+    result, measurement, supervision = measure_parallel(
+        AnalyticModel(KNL), baseline_kernel(), small_random_csr,
+        nthreads=2, repeats=1, schedule="balanced-nnz", tracer=tracer,
     )
     assert result is not None
     assert measurement.nthreads == 2
     assert supervision.final_mode == "parallel"
     assert not supervision.degraded
-    (span,) = [s for s in runner.tracer.spans if s.name == "execute"]
+    (span,) = [s for s in tracer.spans if s.name == "execute"]
     assert span.attributes["supervision"]["ladder"] == "t2"
     assert span.attributes["measured_imbalance"] >= 1.0
     assert span.attributes["predicted_imbalance"] >= 1.0
 
 
-def test_execute_stage_honors_deadline_and_retry_options(
+def test_measure_parallel_honors_deadline_and_retry_options(
         small_random_csr):
-    from repro.machine import KNL
-    from repro.pipeline import PipelineRunner
-
     from repro.kernels import baseline_kernel
+    from repro.machine import KNL
+    from repro.model import AnalyticModel, measure_parallel
 
-    runner = PipelineRunner(KNL)
-    _, measurement, supervision = runner.measure_parallel(
-        baseline_kernel(), small_random_csr, nthreads=2, repeats=1,
-        deadline_seconds=60.0, max_retries=1,
+    _, measurement, supervision = measure_parallel(
+        AnalyticModel(KNL), baseline_kernel(), small_random_csr,
+        nthreads=2, repeats=1, deadline_seconds=60.0, max_retries=1,
     )
     assert measurement is not None
     assert supervision.deadline_seconds == 60.0

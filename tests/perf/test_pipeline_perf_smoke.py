@@ -1,10 +1,10 @@
 """Perf smoke (``-m perf_smoke``): warm-start overhead is ~zero.
 
-Runs the instrumented :class:`~repro.pipeline.runner.PipelineRunner`
-over two generator matrices and asserts the plan-cache warm start
-eliminates the modeled optimizer overhead entirely — the property the
-persisted-cache feature exists for — that a plan-cache lookup hashes
-no matrix content with blake2b, and that a miss computes no row spans,
+Plans two generator matrices through a traced ``optimize`` and asserts
+the plan-cache warm start eliminates the modeled optimizer overhead
+entirely — the property the persisted-cache feature exists for — that a
+plan-cache lookup hashes no matrix content with blake2b, and that a
+miss computes no row spans,
 column gaps or ``np.unique`` it does not read. Kept tiny so
 ``python -m pytest -m perf_smoke -q`` is a sub-second gate.
 """
@@ -17,7 +17,7 @@ from repro.core import AdaptiveSpMV, PlanCache
 from repro.formats import CSRMatrix
 from repro.machine import KNL
 from repro.matrices.generators import banded, power_law, random_uniform
-from repro.pipeline import PipelineRunner
+from repro.pipeline import Tracer
 
 MATRICES = (
     ("banded", lambda: banded(1500, nnz_per_row=8, bandwidth=24, seed=11)),
@@ -31,17 +31,18 @@ def test_warm_start_overhead_is_zero(name, make):
     csr = make()
     opt = AdaptiveSpMV(KNL, classifier="profile")
 
-    cold_runner = PipelineRunner(KNL)
-    op_cold, r_cold = cold_runner.run_optimized(opt, csr)
+    op_cold = opt.optimize(csr, tracer=Tracer())
+    r_cold = op_cold.simulate()
     assert not op_cold.plan.cache_hit
     assert op_cold.plan.total_overhead_seconds > 0.0
     assert r_cold.gflops > 0.0
 
-    warm_runner = PipelineRunner(KNL)
-    op_warm, r_warm = warm_runner.run_optimized(opt, csr)
+    warm_tracer = Tracer()
+    op_warm = opt.optimize(csr, tracer=warm_tracer)
+    r_warm = op_warm.simulate()
     assert op_warm.plan.cache_hit
     assert op_warm.plan.total_overhead_seconds == 0.0
-    assert warm_runner.tracer.total_charged_seconds() == 0.0
+    assert warm_tracer.total_charged_seconds() == 0.0
     # same decision, same simulated performance
     assert op_warm.plan.kernel_name == op_cold.plan.kernel_name
     assert r_warm.gflops == pytest.approx(r_cold.gflops)
@@ -58,11 +59,10 @@ def test_persisted_warm_start_overhead_is_zero(tmp_path):
     warm = AdaptiveSpMV(
         KNL, classifier="profile", plan_cache=PlanCache.load(path)
     )
-    runner = PipelineRunner(KNL)
-    op, result = runner.run_optimized(warm, csr)
+    op = warm.optimize(csr, tracer=Tracer())
     assert op.plan.cache_hit
     assert op.plan.decision_seconds == 0.0
-    assert result.gflops > 0.0
+    assert op.simulate().gflops > 0.0
 
 
 @pytest.mark.perf_smoke

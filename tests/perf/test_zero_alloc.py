@@ -10,7 +10,7 @@ Three layers of guarantees:
 * every kernel variant's ``apply``/``apply_multi`` honors the same
   contract;
 * with a warm :class:`repro.memory.Workspace`, a steady-state apply,
-  a repeat ``PipelineRunner.run_optimized`` execution, and a CG
+  a repeat ``optimize`` plus ``matvec``, and a CG
   iteration allocate no new arrays (verified with ``tracemalloc``:
   zero retained array-sized blocks and a transient peak far below one
   iteration vector). The compiled CSR-family kernels need no scratch
@@ -34,7 +34,6 @@ from repro.kernels.sellcs import SellCSigmaSpMV
 from repro.machine import KNC
 from repro.matrices.generators import banded, random_uniform
 from repro.memory import Workspace
-from repro.pipeline import PipelineRunner
 from repro.solvers import cg
 
 N = 400
@@ -271,35 +270,22 @@ def test_cg_steady_iteration_allocates_nothing():
     )
 
 
-def test_repeat_runner_execution_allocates_no_arrays():
+def test_repeat_optimize_execution_allocates_no_arrays():
     csr = banded(1500, nnz_per_row=6, bandwidth=16, seed=9)
-    runner = PipelineRunner(machine=KNC, nthreads=8)
     opt = AdaptiveSpMV(KNC, classifier="profile")
     # Warm: plan cache, converted data, workspace arena.
-    operator, _ = runner.run_optimized(opt, csr)
+    opt.optimize(csr)
+    operator = opt.optimize(csr)
+    assert operator.plan.cache_hit
     x = RNG.standard_normal(csr.ncols)
     y = np.empty(csr.nrows)
     operator.matvec(x, out=y)
     operator.matvec(x, out=y)
-    runner.workspace.reset_stats()
+    operator.workspace.reset_stats()
     stats = measure_steady_allocs(lambda: operator.matvec(x, out=y))
     assert stats["count"] == 0
     assert stats["peak_bytes"] < PEAK_BUDGET
     # The cached plan runs a compiled CSR-family kernel, which asks the
     # arena for nothing.
-    assert runner.workspace.misses == 0
-    assert runner.workspace.nbuffers == 0
-
-
-def test_workspace_counters_exported_to_tracer():
-    csr = banded(600, nnz_per_row=6, bandwidth=16, seed=10)
-    runner = PipelineRunner(machine=KNC, nthreads=4)
-    opt = AdaptiveSpMV(KNC, classifier="profile")
-    runner.run_optimized(opt, csr)
-    execute_spans = [s for s in runner.tracer.spans
-                     if s.name == "execute"]
-    assert execute_spans
-    counters = execute_spans[-1].attributes.get("workspace")
-    assert counters is not None
-    assert {"hits", "misses", "hit_rate", "buffers",
-            "bytes_held"} <= counters.keys()
+    assert operator.workspace.misses == 0
+    assert operator.workspace.nbuffers == 0

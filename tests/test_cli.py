@@ -129,6 +129,26 @@ def test_trace_emits_schema_versioned_spans(capsys):
     assert execute["attributes"]["gflops"] > 0
 
 
+def test_trace_execute_span_is_the_operator_simulation(capsys):
+    """The ``execute`` span carries the planned operator's simulated
+    run: the same ``summary()`` as ``optimize(csr).simulate()``."""
+    import json
+
+    from repro import AdaptiveSpMV, named_matrix
+    from repro.machine import KNL
+
+    assert main(["trace", "consph", "--platform", "knl",
+                 "--scale", "0.05"]) == 0
+    spans = json.loads(capsys.readouterr().out)["spans"]
+    (execute,) = [s for s in spans if s["name"] == "execute"]
+    op = AdaptiveSpMV(KNL).optimize(named_matrix("consph", scale=0.05))
+    expected = op.simulate()
+    attrs = execute["attributes"]
+    assert {k: attrs[k] for k in expected.summary()} == expected.summary()
+    assert attrs["cost_model"] == "analytic"
+    assert attrs["predicted_gflops"] == float(expected.gflops)
+
+
 def test_trace_writes_file(tmp_path, capsys):
     out_path = tmp_path / "trace.json"
     assert main(["trace", "consph", "--platform", "knl",
