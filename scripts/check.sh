@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full local gate: lint + tier-1 tests + benchmark self-tests +
 # zero-allocation perf smoke + parallel smoke + fault suite + watchdog
-# smoke + engine permutation smoke + calibration smoke + examples.
+# and busy-pool smoke + engine permutation smoke + calibration smoke +
+# examples.
 #
 # One command that runs everything CI checks, in the order that fails
 # fastest: the lint gate (scripts/lint.sh: ruff, or a byte-compile
@@ -21,7 +22,9 @@
 # RuntimeWarning inside a recovery path is a silent NaN leak), then the
 # hang-injection watchdog smoke proving a hung worker is timed out and
 # degraded within the deadline budget instead of blocking the caller,
-# then the composable-engine smoke: a permutation matrix through
+# together with the busy-pool smoke proving a parallel apply run by a
+# worker of its own pool finishes instead of waiting forever for a free
+# worker, then the composable-engine smoke: a permutation matrix through
 # the full guard+supervision stack on 2 threads (warnings as errors)
 # plus the CLI engine-spec round-trip check and a guarded supervised
 # `repro-spmv run` (its exit status is the bit-identity check against
@@ -55,8 +58,9 @@ PYTHONPATH=src python -m pytest -x -q -m perf_smoke tests/perf/test_parallel_smo
 echo "check: stage 6/10 fault suite (warnings as errors)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning tests/faults
 
-echo "check: stage 7/10 hang-injection watchdog smoke"
-PYTHONPATH=src python -m pytest -x -q -k watchdog tests/faults/test_parallel_faults.py
+echo "check: stage 7/10 hang-injection watchdog + busy-pool smoke"
+PYTHONPATH=src python -m pytest -x -q -k "watchdog or busy_pool" \
+    tests/faults/test_parallel_faults.py tests/parallel/test_plane.py
 
 echo "check: stage 8/10 engine permutation smoke (guard+supervision, 2 threads)"
 PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning \

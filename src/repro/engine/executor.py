@@ -145,19 +145,24 @@ class ParallelExecutor(ExecutorBase):
 
     Construction partitions the matrix and preprocesses one zero-copy
     row window per contiguous run
-    (:func:`~repro.parallel.plane.build_chunks`). Each apply hands the
-    chunks to pool workers that write *disjoint* ``out`` slices, so the
-    result is bit-identical to serial execution by construction. Static
-    kinds pin chunks to their owning thread; ``kind == "dynamic"``
-    partitions drain a shared chunk queue, so the thread that runs a
+    (:func:`~repro.parallel.plane.build_chunks`). Each chunk writes its
+    own *disjoint* ``out`` slice, so the result is bit-identical to
+    serial execution by construction. Like an OpenMP master thread, the
+    calling thread runs slot 0 (one worker's share of the partition)
+    itself and hands slots 1..n-1 to the width-n pool; a slot the pool
+    has not started by the time slot 0 finishes is cancelled there and
+    run on the caller too. Static kinds pin chunks to their owning
+    slot; ``kind == "dynamic"`` partitions drain a shared chunk queue
+    (the caller drains it like any worker), so the thread that runs a
     chunk is decided at execution time, like an OpenMP
     ``schedule(dynamic)`` loop.
 
     ``apply``/``apply_multi`` also take an optional ``deadline_seconds``
-    watchdog budget. ``nthreads`` and ``partition`` describe the
-    partition actually built (its width may be below the requested
-    ``config.nthreads``); ``last_measurement`` holds the per-thread
-    clocks of the most recent apply.
+    watchdog budget; with one armed, every slot goes to the pool so the
+    watchdog can abandon a hung chunk. ``nthreads`` and ``partition``
+    describe the partition actually built (its width may be below the
+    requested ``config.nthreads``); ``last_measurement`` holds the
+    per-slot clocks of the most recent apply.
     """
 
     def __init__(self, csr: CSRMatrix, kernel: Kernel | None = None, *,
@@ -332,56 +337,64 @@ class ParallelExecutor(ExecutorBase):
             def worker(slot: int) -> None:
                 run_chunks(slot, self.thread_chunks[slot])
 
-        # A deadline always goes through the pool (even at one thread)
-        # so the watchdog can abandon a hung chunk instead of blocking
-        # the caller inline forever.
-        if nthreads == 1 and deadline_seconds is None:
-            worker(0)
-        else:
+        # Without a deadline the caller runs slot 0 itself, like an
+        # OpenMP master thread, and the pool gets slots 1..n-1. A
+        # deadline sends every slot to the pool (even at one thread) so
+        # the watchdog can abandon a hung chunk instead of blocking the
+        # caller inline forever.
+        inline = deadline_seconds is None
+        slots = range(1 if inline else 0, nthreads)
+        futures = []
+        if slots:
             pool = get_executor(nthreads)
-            futures = [pool.submit(worker, slot) for slot in range(nthreads)]
-            if deadline_seconds is None:
-                for future in futures:
+            futures = [pool.submit(worker, slot) for slot in slots]
+        if inline:
+            worker(0)
+            for slot, future in zip(slots, futures):
+                if future.cancel():
+                    # The pool never started this slot (its workers are
+                    # busy, maybe with the task that made this call): run
+                    # it here rather than wait for a worker that may never
+                    # come free.
+                    worker(slot)
+                else:
                     future.result()  # chunk faults are captured; this
                     # only propagates errors in the worker loop itself
-            else:
-                remaining = deadline_seconds - (
-                    time.perf_counter() - started
+        else:
+            remaining = deadline_seconds - (time.perf_counter() - started)
+            done, not_done = futures_wait(futures,
+                                          timeout=max(remaining, 0.0))
+            if not_done:
+                cancel.set()
+                for future in not_done:
+                    future.cancel()  # unstarted workers never run
+                timeouts = []
+                for slot, future in enumerate(futures):
+                    if future not in not_done:
+                        continue
+                    ci = current[slot]
+                    if ci >= 0:
+                        chunk = self.chunks[ci]
+                        timeouts.append(ChunkFailure(
+                            chunk_index=ci, row_lo=chunk.lo,
+                            row_hi=chunk.hi, thread_slot=slot,
+                            kind="timeout",
+                            detail="chunk still running at deadline",
+                        ))
+                    else:
+                        timeouts.append(ChunkFailure(
+                            chunk_index=-1, row_lo=-1, row_hi=-1,
+                            thread_slot=slot, kind="timeout",
+                            detail="worker unfinished at deadline",
+                        ))
+                raise ParallelExecutionError(
+                    "deadline", tuple(failures) + tuple(timeouts),
+                    nthreads=nthreads, schedule=schedule,
+                    wall_seconds=time.perf_counter() - started,
+                    deadline_seconds=deadline_seconds,
                 )
-                done, not_done = futures_wait(
-                    futures, timeout=max(remaining, 0.0)
-                )
-                if not_done:
-                    cancel.set()
-                    for future in not_done:
-                        future.cancel()  # unstarted workers never run
-                    timeouts = []
-                    for slot, future in enumerate(futures):
-                        if future not in not_done:
-                            continue
-                        ci = current[slot]
-                        if ci >= 0:
-                            chunk = self.chunks[ci]
-                            timeouts.append(ChunkFailure(
-                                chunk_index=ci, row_lo=chunk.lo,
-                                row_hi=chunk.hi, thread_slot=slot,
-                                kind="timeout",
-                                detail="chunk still running at deadline",
-                            ))
-                        else:
-                            timeouts.append(ChunkFailure(
-                                chunk_index=-1, row_lo=-1, row_hi=-1,
-                                thread_slot=slot, kind="timeout",
-                                detail="worker unfinished at deadline",
-                            ))
-                    raise ParallelExecutionError(
-                        "deadline", tuple(failures) + tuple(timeouts),
-                        nthreads=nthreads, schedule=schedule,
-                        wall_seconds=time.perf_counter() - started,
-                        deadline_seconds=deadline_seconds,
-                    )
-                for future in futures:
-                    future.result()
+            for future in futures:
+                future.result()
 
         if failures:
             raise ParallelExecutionError(

@@ -8,9 +8,10 @@ crashes, hangs past its deadline, or poisons its partition:
 
 1. run at the requested thread count (or at a previously *demoted*
    width, see below);
-2. on failure, retry with bounded exponential backoff at half the
-   thread count, repeatedly, down to one thread (at most
-   ``max_retries`` retries);
+2. on failure, retry at half the thread count after a bounded
+   exponential backoff, repeatedly, down to one thread (at most
+   ``max_retries`` retries; the backoff falls only between parallel
+   rungs, never before the serial fallback);
 3. finally fall back to the serial zero-alloc CSR kernel — the same
    bit-identical reference :class:`~repro.engine.guard.GuardedKernel`
    recovers onto — so the caller still gets a correct result.
@@ -364,7 +365,8 @@ class SupervisedExecutor(ExecutorBase):
         final_mode = "serial"
         final_width = 0
 
-        for n_attempt, width in enumerate(self._widths()):
+        widths = self._widths()
+        for n_attempt, width in enumerate(widths):
             remaining = None
             if budget is not None:
                 remaining = budget - (time.perf_counter() - started)
@@ -421,7 +423,9 @@ class SupervisedExecutor(ExecutorBase):
                     final_mode = "parallel"
                     final_width = width
                     break
-            if self.backoff_seconds > 0.0:
+            # Back off only before another parallel rung: the serial
+            # fallback shares no pool with the rung that just failed.
+            if self.backoff_seconds > 0.0 and n_attempt + 1 < len(widths):
                 pause = min(
                     self.backoff_seconds * 2.0 ** n_attempt, 0.1
                 )

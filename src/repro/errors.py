@@ -59,7 +59,8 @@ class ChunkFailure:
     #: bounds when no chunk was attributable).
     row_lo: int
     row_hi: int
-    #: pool worker slot (thread index) the failure was observed on.
+    #: worker slot (one thread's share of the partition) the failure
+    #: was observed on; without a deadline slot 0 runs on the caller.
     thread_slot: int
     #: ``"exception"`` | ``"timeout"`` | ``"poisoned"``.
     kind: str
@@ -78,7 +79,7 @@ class ChunkFailure:
 class ParallelExecutionError(ReproError, RuntimeError):
     """A parallel apply failed and its output must not be trusted.
 
-    Raised by the shared-memory execution plane when a pool worker
+    Raised by the shared-memory execution plane when a worker slot
     faulted (``kind == "worker-fault"``) or the apply's deadline budget
     was breached with chunks still running (``kind == "deadline"``).
     The caller-provided ``out=`` buffer is never left partially

@@ -79,7 +79,14 @@ class ParallelConfig:
 
 @dataclass(frozen=True)
 class ParallelMeasurement:
-    """Measured per-thread clocks of one parallel apply."""
+    """Measured per-thread clocks of one parallel apply.
+
+    One clock pair per slot (one worker's share of the partition).
+    Slot 0's clocks are taken on the calling thread, which runs that
+    slot itself unless a deadline sent every slot to the pool. So are
+    the clocks of any slot the pool had not started by the time the
+    caller finished slot 0, since the caller runs that slot too.
+    """
 
     nthreads: int
     schedule: str

@@ -6,7 +6,13 @@ milliseconds; a chunk apply can be tens of microseconds), so executors
 are created once per worker count and reused for the life of the
 process — the same persistence argument the paper makes for OpenMP's
 thread team. Pools are keyed by worker count: a solver iterating at
-``nthreads=4`` keeps hitting the same four warm threads.
+``nthreads=4`` keeps hitting the same four warm threads. Like OpenMP's
+master thread, the caller of a width-``n`` apply without a deadline
+runs one slot itself and hands ``n - 1`` tasks to the width-``n``
+pool; a task the pool has not started when the caller is done with its
+own slot is cancelled and run on the caller, so an apply never waits
+for a worker that is busy (even with another apply on the same pool).
+An apply with a deadline hands all ``n`` slots to the pool.
 
 Threads (not processes) are the right substrate here because the
 kernels' compiled inner loops (scipy's sparsetools CSR loops, NumPy's

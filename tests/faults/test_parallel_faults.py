@@ -289,6 +289,32 @@ def test_persistent_crash_walks_full_ladder_to_serial(small_random_csr,
     assert entry["reason"] == "worker-fault"
 
 
+def test_backoff_falls_only_between_parallel_rungs(small_random_csr, x,
+                                                  monkeypatch):
+    """The ladder pauses before each retry, never before the serial
+    fallback; a configuration demoted to serial does not pause at
+    all."""
+    sleeps = []
+    monkeypatch.setattr("repro.engine.supervision.time.sleep",
+                        sleeps.append)
+    ref = small_random_csr.matvec(x)
+    fk = ParallelFaultKernel(baseline_kernel(), mode="crash",
+                             fail_applies=math.inf)
+    sup = SupervisedExecutor(small_random_csr, fk, nthreads=4,
+                             max_retries=2, backoff_seconds=0.01)
+    np.testing.assert_array_equal(sup.matvec(x), ref)
+    assert sup.last_report.ladder() == (
+        "t4!worker-fault -> t2!worker-fault -> t1!worker-fault -> serial"
+    )
+    assert sleeps == [0.01, 0.02]
+
+    sleeps.clear()
+    assert demoted_target(sup.signature) == 0
+    np.testing.assert_array_equal(sup.matvec(x), ref)
+    assert sup.last_report.ladder() == "serial"
+    assert sleeps == []
+
+
 def test_demoted_config_skips_straight_to_recorded_width(
         small_random_csr, x):
     ref = small_random_csr.matvec(x)
