@@ -6,8 +6,6 @@ profile-guided, then the trivial sweeps (combined worst); the
 Inspector-Executor sits between.
 """
 
-import math
-
 from repro.experiments import table5
 
 from conftest import run_once

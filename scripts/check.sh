@@ -5,8 +5,9 @@
 # examples.
 #
 # One command that runs everything CI checks, in the order that fails
-# fastest: the lint gate (scripts/lint.sh: ruff, or a byte-compile
-# fallback on minimal images), then the tier-1 pytest suite, then the
+# fastest: the lint gate (scripts/lint.sh: ruff, or on minimal images
+# a byte-compile fallback plus scripts/unused_imports.py, ruff's F401
+# unused-import rule in the stdlib), then the tier-1 pytest suite, then the
 # benchmark's own self-tests on tiny inputs (bench/test_bench.py: a
 # library change that deletes or renames a name bench/ imports fails
 # here, not in a later benchmark run), then the tests/perf smoke pass

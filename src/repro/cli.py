@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .core import (
     AdaptiveSpMV,
@@ -119,6 +120,32 @@ def parse_engine_spec(text: str):
         workspace=workspace,
         trace=trace,
     )
+
+
+#: ``parallel --engine-spec`` tokens the sweep refuses, and what to use.
+_SWEEP_TOKENS = {"threads": "--threads", "schedule": "--schedule",
+                 "workspace": "'repro-spmv run --engine-spec'",
+                 "trace": "'repro-spmv run --engine-spec'"}
+
+
+def _parse_sweep_spec(text: str, schedules):
+    """Parse a ``parallel --engine-spec``. The sweep sets each run's
+    width and schedule and measures no workspace or trace layer, so only
+    guard, supervision and (chunked schedules) chunk-rows tokens pass."""
+    for raw in text.split(","):
+        key = raw.partition("=")[0].strip().lower()
+        if key in _SWEEP_TOKENS:
+            raise ValueError(
+                f"engine-spec token {raw.strip()!r} does not apply to "
+                f"the parallel sweep; use {_SWEEP_TOKENS[key]}")
+    # Each run sets its own width; this one only satisfies the parser.
+    spec = parse_engine_spec(f"threads=1,{text}")
+    if spec.parallel.chunk_rows is not None and not set(schedules) <= {
+            "auto", "dynamic"}:
+        raise ValueError("engine-spec token chunk-rows applies only to "
+                         "the auto and dynamic schedules; use "
+                         "--schedule auto or --schedule dynamic")
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,13 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "or 'auto' to derive it from the cost model's "
                        "prediction; a breached run degrades through the "
                        "supervision ladder instead of blocking")
-    p_par.add_argument("--max-retries", type=int, default=2,
+    p_par.add_argument("--max-retries", type=int, default=None,
                        help="reduced-width retries before the serial "
-                       "fallback (default 2)")
+                       "fallback (default: the spec's retries, else 2)")
     p_par.add_argument("--engine-spec", default=None, metavar="SPEC",
-                       help=_ENGINE_SPEC_HELP + "; guard/supervision "
-                       "axes compose with the sweep (threads/schedule "
-                       "come from --threads/--schedule)")
+                       help=_ENGINE_SPEC_HELP + "; the sweep takes only "
+                       "guard, supervision and chunk-rows tokens")
     p_par.add_argument("--profile", default=None, metavar="PATH",
                        help="predict through a CalibratedModel built "
                        "from this machine profile (see 'calibrate')")
@@ -529,6 +555,7 @@ def _parse_threads(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_parallel(args) -> int:
+    from .engine import SupervisionSpec
     from .experiments.common import render_table
     from .kernels import baseline_kernel
     from .model import AnalyticModel, measure_parallel
@@ -548,38 +575,25 @@ def _cmd_parallel(args) -> int:
         return 2
     schedules = ([args.schedule] if args.schedule
                  else list(SCHEDULE_POLICIES))
-    spec = None
-    if args.engine_spec:
+    try:
+        spec = _parse_sweep_spec(args.engine_spec or "", schedules)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    supervision = spec.supervision or SupervisionSpec()
+    if args.max_retries is not None:  # an explicit flag wins over the spec
+        supervision = replace(supervision, max_retries=args.max_retries)
+    deadline = args.deadline_ms  # measure_parallel's deadline_seconds
+    if deadline not in (None, "auto"):
         try:
-            spec = parse_engine_spec(args.engine_spec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            deadline = float(deadline) / 1e3
+        except ValueError:
+            print(f"error: --deadline-ms must be a number or 'auto', "
+                  f"got {deadline!r}", file=sys.stderr)
             return 2
     machine = get_platform(args.platform)
     csr = _load_matrix(args.matrix, args.scale)
     kernel = baseline_kernel()
-    if spec is not None and spec.guard:
-        from .engine import guard_kernel
-
-        kernel = guard_kernel(kernel)
-    if args.deadline_ms is None:
-        deadline_seconds = None
-    elif args.deadline_ms == "auto":
-        deadline_seconds = "auto"
-    else:
-        try:
-            deadline_seconds = float(args.deadline_ms) / 1e3
-        except ValueError:
-            print(f"error: --deadline-ms must be a number or 'auto', "
-                  f"got {args.deadline_ms!r}", file=sys.stderr)
-            return 2
-    max_retries = args.max_retries
-    if spec is not None and spec.supervision is not None:
-        # Explicit flags win; the spec fills whatever was left default.
-        if deadline_seconds is None:
-            deadline_seconds = spec.supervision.deadline_seconds
-        if max_retries == 2:
-            max_retries = spec.supervision.max_retries
     try:
         model = _load_model(machine, args.profile)
     except ValueError as exc:
@@ -592,9 +606,9 @@ def _cmd_parallel(args) -> int:
         for nthreads in threads:
             result, meas, report = measure_parallel(
                 predictor, kernel, csr, nthreads, schedule=schedule,
-                repeats=args.repeats,
-                deadline_seconds=deadline_seconds,
-                max_retries=max_retries,
+                chunk_rows=spec.parallel.chunk_rows, repeats=args.repeats,
+                guard=spec.guard, supervision=supervision,
+                deadline_seconds=deadline,
             )
             if meas is not None:
                 rows.append((
@@ -625,17 +639,17 @@ def _cmd_parallel(args) -> int:
     print("imb (cpu) = max/mean per-thread CPU time (measured); "
           "imb (model) = cost-plane prediction at the same threads")
     if ladders:
-        budget = ("none" if deadline_seconds is None
-                  else f"{1e3 * deadline_seconds:.1f} ms")
-        print(f"degradation ladder (deadline budget {budget}, "
-              f"max retries {max_retries}):")
+        print(f"degradation ladder (max retries "
+              f"{supervision.max_retries}):")
         for schedule, nthreads, report in ladders:
             final = ("serial" if report.final_mode != "parallel"
                      else f"t{report.final_nthreads}")
+            budget = report.deadline_seconds
+            budget = "none" if budget is None else f"{1e3 * budget:.1f} ms"
             print(f"  {schedule} t{nthreads}: {report.ladder()} "
-                  f"[final {final}, "
-                  f"{1e3 * report.wall_seconds:.2f} ms]")
-    elif deadline_seconds is not None or max_retries != 2:
+                  f"[final {final}, {1e3 * report.wall_seconds:.2f} ms, "
+                  f"deadline budget {budget}]")
+    elif deadline is not None or supervision != SupervisionSpec():
         print("degradation ladder: no demotions (every run completed "
               "at the requested width)")
     return 0

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..formats import CSRMatrix
 from ..kernels import RegularizedColindSpMV, baseline_kernel
 from ..machine import MachineSpec

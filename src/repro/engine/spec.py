@@ -120,11 +120,10 @@ class ExecutorSpec:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.parallel is not None and not hasattr(
-                self.parallel, "signature"):
+        if self.parallel is not None and not isinstance(
+                self.parallel, ParallelConfig):
             raise TypeError(
-                "parallel must be a repro.parallel.ParallelConfig "
-                "(or any object with a signature() method), got "
+                "parallel must be a repro.parallel.ParallelConfig, got "
                 f"{type(self.parallel).__name__}"
             )
         if self.supervision is not None and self.parallel is None:

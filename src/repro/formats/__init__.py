@@ -1,13 +1,13 @@
 """Sparse matrix storage formats (system S1 in DESIGN.md).
 
-Canonical execution format is :class:`CSRMatrix`; :class:`COOMatrix`
-is the interchange format; :class:`DeltaCSR` and :class:`DecomposedCSR`
-are the optimized layouts used by the MB- and IMB-class optimizations.
+Kernels execute :class:`CSRMatrix`, :class:`BCSRMatrix` and
+:class:`SellCSigmaMatrix`; :class:`COOMatrix` is the interchange format;
+:class:`DeltaCSR` and :class:`DecomposedCSR` are the MB- and IMB-class
+layouts the cost plane prices.
 """
 
 from .base import SparseFormat
 from .bcsr import BCSRMatrix
-from .convert import available_formats, convert, register_format
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .decomposed import DecomposedCSR, default_long_row_threshold
@@ -24,7 +24,4 @@ __all__ = [
     "DecomposedCSR",
     "choose_delta_width",
     "default_long_row_threshold",
-    "convert",
-    "available_formats",
-    "register_format",
 ]

@@ -2,16 +2,14 @@
 
 Every format in :mod:`repro.formats` exposes
 
-* the logical matrix (``shape``, ``nnz``),
-* a numeric plane: :meth:`SparseFormat.matvec` computes ``y = A @ x``
-  and :meth:`SparseFormat.matmat` computes the batched ``Y = A @ X``
-  for a dense block of right-hand sides (the CSR family on scipy's
-  compiled kernels, :mod:`repro.formats.compiled`; BCSR with
-  vectorized NumPy), used by the executors and the solvers, and
+* the logical matrix (``shape``, ``nnz``) and ``validate()``,
 * a storage-accounting plane: :meth:`SparseFormat.index_nbytes` /
   :meth:`SparseFormat.value_nbytes`, used by the machine model to derive
   memory traffic and by the paper's per-class performance bounds
   (``M_{A_format,min} = S_format`` in Section III-B).
+
+Only the formats a kernel executes (CSR, BCSR, SELL-C-sigma) add a
+numeric plane, ``matvec(x)`` and the batched ``matmat(X)``.
 """
 
 from __future__ import annotations
@@ -178,39 +176,6 @@ class SparseFormat(abc.ABC):
     def nnz(self) -> int:
         """Number of stored (explicit) nonzero elements."""
 
-    @abc.abstractmethod
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        """Return ``A @ x`` as a float64 vector.
-
-        ``out`` (validated with :func:`check_out_buffer`) receives the
-        result in place; ``workspace`` (a
-        :class:`repro.memory.Workspace`) supplies the kernel's scratch
-        intermediates. Both default to None, which allocates as before.
-        """
-
-    def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        """Return ``A @ X`` for a dense block of right-hand sides.
-
-        ``X`` has shape ``(ncols, k)``; the result has shape
-        ``(nrows, k)`` and its column ``j`` equals ``matvec(X[:, j])``.
-        Concrete formats override this with a single-pass vectorized
-        kernel that amortizes index traffic over all ``k`` vectors (the
-        SpMM optimization of Saule et al.); this fallback stacks
-        ``matvec`` calls and is only used by formats without a native
-        batched kernel.
-        """
-        X = self._check_matmat_input(X)
-        if out is None:
-            out = np.empty((self.nrows, X.shape[1]), dtype=np.float64)
-        else:
-            out = check_out_buffer(out, (self.nrows, X.shape[1]),
-                                   operand=X)
-        for j in range(X.shape[1]):
-            out[:, j] = self.matvec(X[:, j], workspace=workspace)
-        return out
-
     def _check_matmat_input(self, X: np.ndarray) -> np.ndarray:
         """Validate and normalize a multi-RHS operand to C-contiguous
         float64 of shape ``(ncols, k)``."""
@@ -232,29 +197,6 @@ class SparseFormat(abc.ABC):
     def total_nbytes(self) -> int:
         """Total bytes of the matrix representation."""
         return self.index_nbytes() + self.value_nbytes()
-
-    def matvec_into(self, x: np.ndarray, y: np.ndarray,
-                    alpha: float = 1.0, beta: float = 0.0) -> np.ndarray:
-        """General SpMV update ``y = alpha * A @ x + beta * y`` in place.
-
-        Matches the vendor-library (``mkl_dcsrmv``) calling convention
-        the paper benchmarks against. ``y`` is updated and returned.
-        """
-        y = np.asarray(y)
-        if y.shape != (self.nrows,):
-            raise ValueError(f"y must have shape ({self.nrows},), got {y.shape}")
-        if y.dtype != np.float64:
-            raise TypeError("y must be float64 (updated in place)")
-        if beta == 0.0:
-            y[:] = 0.0
-        elif beta != 1.0:
-            y *= beta
-        product = self.matvec(x)
-        if alpha == 1.0:
-            y += product
-        elif alpha != 0.0:
-            y += alpha * product
-        return y
 
     # -- conveniences -------------------------------------------------
 

@@ -2,8 +2,7 @@
 
 COO is the interchange format of this library: matrix generators and the
 Matrix Market reader produce COO, which is then converted to
-:class:`repro.formats.csr.CSRMatrix` (the canonical execution format) or
-to one of the optimized formats.
+:class:`repro.formats.csr.CSRMatrix` (the canonical execution format).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class COOMatrix(SparseFormat):
 
     format_name = "coo"
 
-    __slots__ = ("rows", "cols", "values", "_shape", "_csr")
+    __slots__ = ("rows", "cols", "values", "_shape")
 
     def __init__(self, rows, cols, values, shape, *,
                  sum_duplicates: bool = True, trusted: bool = False):
@@ -76,7 +75,6 @@ class COOMatrix(SparseFormat):
         self.rows = rows
         self.cols = cols
         self.values = values
-        self._csr = None
 
     # -- SparseFormat interface ---------------------------------------
 
@@ -99,7 +97,7 @@ class COOMatrix(SparseFormat):
         if (rows_ok and cols_ok and self.rows.size > 1
                 and self.rows.size == self.cols.size):
             # Canonical COO is sorted by (row, col) with duplicates
-            # merged; the numeric plane reads its row runs as CSR rows.
+            # merged; CSRMatrix.from_coo reads its row runs as CSR rows.
             key = self.rows * np.int64(self.ncols) + self.cols
             bad = np.flatnonzero(np.diff(key) <= 0)
             if bad.size:
@@ -109,33 +107,6 @@ class COOMatrix(SparseFormat):
                     f"entries not in strict (row, col) order at position "
                     f"{p} (row {int(self.rows[p])}, col {int(self.cols[p])})",
                 )
-
-    def _csr_view(self):
-        """Cached CSR view for the numeric plane.
-
-        Canonical sorting makes each output row a contiguous run of
-        entries, so a row pointer over those runs turns the triplets
-        into CSR without reordering anything. The view shares
-        ``values`` with this matrix, so in-place value updates stay
-        visible.
-        """
-        if self._csr is None:
-            from .csr import CSRMatrix
-
-            self._csr = CSRMatrix.from_coo(self)
-        return self._csr
-
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        """``y = A @ x`` via the compiled CSR kernel on the cached
-        row-run view."""
-        return self._csr_view().matvec(x, out=out, workspace=workspace)
-
-    def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        """Batched ``Y = A @ X``: one pass over the entries serves all
-        columns (the CSR batched kernel on the row-run view)."""
-        return self._csr_view().matmat(X, out=out, workspace=workspace)
 
     def index_nbytes(self) -> int:
         return int(self.rows.nbytes + self.cols.nbytes)

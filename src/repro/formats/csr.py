@@ -13,10 +13,10 @@ The numeric kernels run scipy's compiled sparsetools loops
 (:mod:`repro.formats.compiled`) and participate in the zero-allocation
 execution plane (docs/performance.md): every kernel accepts ``out=``
 and ``workspace=`` so repeat executions write into caller-owned
-buffers, and the structure-derived plans (the single-dtype index pair,
-the length-sorted row order of the compensated kernel) are computed
-once and cached on the matrix — structural arrays are immutable by
-contract, only ``values`` may be swapped/mutated by plan rebuilds.
+buffers, and the structure-derived plan (the single-dtype index pair)
+is computed once and cached on the matrix — structural arrays are
+immutable by contract, only ``values`` may be swapped/mutated by plan
+rebuilds.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class CSRMatrix(SparseFormat):
     format_name = "csr"
 
     __slots__ = ("rowptr", "colind", "values", "_shape",
-                 "_row_ids", "_idx", "_comp")
+                 "_row_ids", "_idx")
 
     def __init__(self, rowptr, colind, values, shape, *, trusted=False):
         self._shape = check_shape_2d("shape", shape)
@@ -84,7 +84,6 @@ class CSRMatrix(SparseFormat):
         # Structure-derived plan caches (lazy; values-independent).
         self._row_ids = None
         self._idx = None
-        self._comp = None
 
     # -- SparseFormat interface ---------------------------------------
 
@@ -136,23 +135,6 @@ class CSRMatrix(SparseFormat):
         if self._idx is None:
             self._idx = index_pair(self.rowptr, self.colind, self._shape)
         return self._idx
-
-    def _comp_plan(self):
-        """Cached lockstep plan for the compensated kernel:
-        ``(order, sorted_nnz, base, maxlen, cols)`` with rows sorted by
-        ascending length so each step-``k`` slice is a contiguous
-        suffix of ``order``, and ``colind`` as ``intp`` so the product
-        gather never re-casts the int32 indices.
-        """
-        if self._comp is None:
-            row_nnz = self.row_nnz()
-            order = np.argsort(row_nnz, kind="stable")
-            sorted_nnz = row_nnz[order]
-            base = self.rowptr[:-1][order]
-            maxlen = int(sorted_nnz[-1]) if sorted_nnz.size else 0
-            cols = self.colind.astype(np.intp)
-            self._comp = (order, sorted_nnz, base, maxlen, cols)
-        return self._comp
 
     # -- numeric kernels ----------------------------------------------
 
@@ -216,91 +198,6 @@ class CSRMatrix(SparseFormat):
         x = contiguous_operand(x, workspace, "csr.rmatvec.x")
         return csc_matvec(self._index_pair(), self.values,
                           (self.ncols, self.nrows), x, y)
-
-    def matvec_compensated(self, x: np.ndarray,
-                           out: np.ndarray | None = None,
-                           workspace=None) -> np.ndarray:
-        """``A @ x`` with Neumaier-compensated row sums.
-
-        For ill-conditioned rows (large cancelling entries) the plain
-        kernel's summation error grows with row length; this variant
-        carries a per-row compensation term. Costs ~3x the flops — use
-        it for verification and accuracy-critical final residuals, not
-        in inner loops.
-
-        The lockstep sweep (k-th element of every row per step) runs
-        off a cached length-sorted row order, so the per-step active
-        set is a contiguous suffix view and all per-step work happens
-        in preallocated scratch slices — no per-iteration mask rebuild
-        or allocation.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        n = self.nrows
-        x = contiguous_operand(x, workspace, "csr.comp.x")
-        order, sorted_nnz, base, maxlen, cols = self._comp_plan()
-
-        def scratch(name, size, dtype=np.float64):
-            if workspace is not None:
-                return workspace.buffer("csr.comp." + name, size, dtype)
-            return np.empty(size, dtype=dtype)
-
-        products = scratch("products", self.nnz)
-        np.take(x, cols, out=products, mode="clip")
-        np.multiply(products, self.values, out=products)
-        if out is None:
-            y = np.zeros(n, dtype=np.float64)
-        else:
-            y = check_out_buffer(out, (n,), operand=x)
-            y[:] = 0.0
-        comp = scratch("comp", n)
-        comp[:] = 0.0
-        # Rows still active at step k are those with nnz > k: the
-        # suffix order[searchsorted(sorted_nnz, k, "right"):]. Size the
-        # scratch for step 0 (every nonempty row); later steps use
-        # leading slices.
-        m0 = n - int(np.searchsorted(sorted_nnz, 0, side="right"))
-        idx = scratch("idx", m0, np.intp)
-        v = scratch("v", m0)
-        yr = scratch("yr", m0)
-        t = scratch("t", m0)
-        a = scratch("a", m0)
-        b = scratch("b", m0)
-        notbig = scratch("notbig", m0, bool)
-        for k in range(maxlen):
-            s = int(np.searchsorted(sorted_nnz, k, side="right"))
-            r = order[s:]
-            m = r.size
-            if m == 0:
-                break
-            ik = idx[:m]
-            np.add(base[s:], k, out=ik)
-            vk = v[:m]
-            np.take(products, ik, out=vk, mode="clip")
-            yk = yr[:m]
-            np.take(y, r, out=yk, mode="clip")
-            tk = t[:m]
-            np.add(yk, vk, out=tk)
-            # Neumaier branch select: |y| >= |v| keeps (y - t) + v,
-            # otherwise (v - t) + y. Computed branch-free in scratch.
-            ak = a[:m]
-            bk = b[:m]
-            nb = notbig[:m]
-            np.abs(yk, out=ak)
-            np.abs(vk, out=bk)
-            np.less(ak, bk, out=nb)           # nb = not (|y| >= |v|)
-            np.subtract(yk, tk, out=ak)
-            np.add(ak, vk, out=ak)            # (y - t) + v
-            np.subtract(vk, tk, out=bk)
-            np.add(bk, yk, out=bk)            # (v - t) + y
-            np.copyto(ak, bk, where=nb)
-            np.take(comp, r, out=yk, mode="clip")  # yk no longer needed
-            np.add(yk, ak, out=yk)
-            comp[r] = yk
-            y[r] = tk
-        np.add(y, comp, out=y)
-        return y
 
     def index_nbytes(self) -> int:
         return int(self.rowptr.nbytes + self.colind.nbytes)

@@ -7,18 +7,18 @@ paper (Fig. 6 / Fig. 7 of the text): the matrix is split into
   stored as a regular CSR with the long rows left empty, and
 * a *long part* — the few very long rows, stored contiguously.
 
-SpMV then runs in two steps: the short part uses the ordinary
+The priced SpMV runs in two steps: the short part uses the ordinary
 row-partitioned kernel (long rows are skipped for free because they are
 empty), and every long row is computed by *all* threads cooperatively
 followed by a reduction of partial sums, which removes the imbalance a
-single monster row would otherwise cause.
+single monster row would otherwise cause. No kernel executes it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import SparseFormat, check_out_buffer, contiguous_operand
+from .base import SparseFormat
 from .csr import CSRMatrix
 
 __all__ = ["DecomposedCSR", "default_long_row_threshold"]
@@ -196,57 +196,13 @@ class DecomposedCSR(SparseFormat):
         """The long rows as a compact CSR (row ``i`` is matrix row
         ``long_rows[i]``), or None without long rows. Cached; it shares
         this matrix's long-part arrays, and its constructor checks them
-        before the compiled kernel indexes with them."""
+        before the cost plane indexes with them."""
         if self._long is None and self.long_rows.size:
             self._long = CSRMatrix(
                 self.long_rowptr, self.long_colind, self.long_values,
                 (self.long_rows.size, self.ncols),
             )
         return self._long
-
-    def _write_long_rows(self, x: np.ndarray, y: np.ndarray,
-                         workspace=None) -> np.ndarray:
-        """Write the long rows of ``A @ x`` into ``y`` after the short
-        part has filled it (``x``/``y`` a vector or a block pair). The
-        short part stores no entry of a long row, so the long sums are
-        written, not added, and every row equals the undecomposed CSR
-        result bitwise."""
-        long = self.long_part()
-        if long is None:
-            return y
-        shape = (long.nrows,) + y.shape[1:]
-        if workspace is not None:
-            sums = workspace.buffer("dcsr.long.sums", shape)
-        else:
-            sums = np.empty(shape, dtype=np.float64)
-        if y.ndim == 1:
-            long.matvec(x, out=sums, workspace=workspace)
-        else:
-            long.matmat(x, out=sums)
-        y[self.long_rows] = sums
-        return y
-
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if out is not None:
-            out = check_out_buffer(out, (self.nrows,), operand=x)
-        # One contiguous copy serves both parts (each would otherwise
-        # make its own).
-        x = contiguous_operand(x, workspace, "csr.matvec.x")
-        y = self.short.matvec(x, out=out, workspace=workspace)
-        return self._write_long_rows(x, y, workspace)
-
-    def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        """Batched two-part apply: both parts run the CSR batched
-        kernel."""
-        X = self._check_matmat_input(X)
-        if out is not None:
-            out = check_out_buffer(out, (self.nrows, X.shape[1]),
-                                   operand=X)
-        Y = self.short.matmat(X, out=out, workspace=workspace)
-        return self._write_long_rows(X, Y, workspace)
 
     def index_nbytes(self) -> int:
         return int(

@@ -10,7 +10,7 @@ Positions where a delta cannot be represented (the first nonzero of a
 row, or a gap wider than the delta width) are *reset points*: the
 absolute 32-bit column index is stored out-of-line in ``reset_col`` and
 the in-line delta is 0. Decoding is fully vectorized via a segmented
-cumulative sum between reset points.
+cumulative sum between reset points. Only the cost plane reads it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class DeltaCSR(SparseFormat):
         "values",
         "width",
         "_shape",
-        "_decoded",
     )
 
     def __init__(self, rowptr, deltas, reset_pos, reset_col, values, shape,
@@ -79,7 +78,6 @@ class DeltaCSR(SparseFormat):
         self.reset_col = np.ascontiguousarray(reset_col, dtype=np.int32)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._decoded = None
         if not trusted:
             if self.deltas.size != self.values.size:
                 raise ValueError("deltas and values must have equal length")
@@ -153,24 +151,6 @@ class DeltaCSR(SparseFormat):
             self._shape,
         )
 
-    def _decoded_csr(self) -> CSRMatrix:
-        """Cached CSR view for the numeric plane.
-
-        Decoding is structure-only, so it happens once; the view
-        *shares* ``rowptr`` and ``values`` with this matrix (no copy),
-        so in-place value updates stay visible. Its constructor checks
-        the decoded indices before the compiled kernel uses them. The
-        cost plane still charges the decode per apply — this cache only
-        removes the redundant recomputation from the repeat-execution
-        path.
-        """
-        if self._decoded is None:
-            self._decoded = CSRMatrix(
-                self.rowptr, self.decode_colind(), self.values,
-                self._shape,
-            )
-        return self._decoded
-
     # -- SparseFormat interface ----------------------------------------
 
     @property
@@ -232,21 +212,6 @@ class DeltaCSR(SparseFormat):
             decoded = self.decode_colind().astype(np.int64)
             check_index_bounds(report, "decoded-colind", decoded,
                                self.ncols)
-
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        # Numeric plane: run the CSR kernel on the cached decoded view.
-        # The cost plane (ConfiguredSpMV.cost in repro.kernels.variants)
-        # charges the decode to compute cycles and the smaller delta
-        # array to memory traffic.
-        return self._decoded_csr().matvec(x, out=out, workspace=workspace)
-
-    def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
-               workspace=None) -> np.ndarray:
-        # One decode serves the whole batch (and, via the cache, every
-        # later apply): the decode cost is amortized over all k
-        # right-hand sides and all repeat executions.
-        return self._decoded_csr().matmat(X, out=out, workspace=workspace)
 
     def index_nbytes(self) -> int:
         reset_bytes = self.reset_pos.nbytes + self.reset_col.nbytes

@@ -113,8 +113,8 @@ _VALUES_PATH = {
 
 #: Lazily built, structure-derived caches of the formats (compiled
 #: index pairs, CSR views, apply plans). A clone starts without them.
-_DERIVED_CACHES = ("_idx", "_comp", "_row_ids", "_rm", "_csr", "_long",
-                   "_decoded", "_plan", "_pattern")
+_DERIVED_CACHES = ("_idx", "_row_ids", "_rm", "_long", "_plan",
+                   "_pattern")
 
 
 def _all_slots(cls) -> tuple[str, ...]:

@@ -35,7 +35,7 @@ from .._validation import check_in
 from ..formats import CSRMatrix, DecomposedCSR, DeltaCSR
 from ..machine import KernelCost, MachineSpec
 from ..machine.cache import x_access_stats, x_miss_cost
-from ..sched import Partition, make_partition
+from ..sched import Partition
 from .base import Kernel
 from .costmodel import row_compute_cycles, spmv_cost
 from .preprocess_cost import (

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .spec import MachineSpec
 
 __all__ = ["TriadResult", "stream_triad", "stream_table"]

@@ -1,22 +1,23 @@
 """Workspace arenas: named, reusable scratch buffers for hot loops.
 
-Every ``matvec``/``matmat``/``apply`` in the execution plane needs
-short-lived intermediates (the ``values * x[colind]`` product array,
-SELL-C-sigma gather buffers, decomposed-CSR partial sums, padded
-x/y images of the BCSR kernel). Allocating them per call puts the
-allocator and the page-fault handler on the steady-state path of every
-solver iteration — exactly the repeat-execution regime the paper's
-amortization analysis (Table V) prices. A :class:`Workspace` owns those
-intermediates instead: buffers are keyed by ``(name, shape, dtype)``,
-created once on first use (a *miss*) and handed back on every
-subsequent request (a *hit*), so a repeat execution of the same plan
-runs with zero new array allocations.
+Some ``matvec``/``matmat``/``apply`` calls need short-lived
+intermediates (SELL-C-sigma's permuted output, BCSR's tiles, a
+contiguous copy of a strided operand; the compiled CSR kernels need
+none). Allocating them per call puts the allocator and the page-fault
+handler on the steady-state path of every solver iteration — exactly
+the repeat-execution regime the paper's amortization analysis
+(Table V) prices. A :class:`Workspace` owns those intermediates
+instead: buffers are keyed by ``(name, shape, dtype)``, created once on
+first use (a *miss*) and handed back on every subsequent request (a
+*hit*), so a repeat execution of the same plan runs with zero new array
+allocations.
 
 One arena is attached per reusable execution context: the plan-cache
 entry behind an :class:`~repro.core.optimizer.OptimizedSpMV` (repeat
-``optimize()`` calls of one plan share one arena) and a
-:class:`~repro.engine.guard.GuardedKernel`. :meth:`Workspace.counters`
-reports the hit/miss/bytes-held counters (see docs/performance.md).
+``optimize()`` calls share one), a stack built with a ``workspace``
+axis, each parallel executor (one store per thread) and each solver
+call. :meth:`Workspace.counters` reports the hit/miss/bytes-held
+counters (see docs/performance.md).
 
 Buffers are handed out *dirty* — callers must overwrite or zero them.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -344,11 +344,18 @@ def calibrate(machine, *, quick: bool = False,
 def measure_parallel(model, kernel, csr, nthreads: int, *,
                      schedule: str | None = None,
                      chunk_rows: int | None = None, repeats: int = 3,
-                     data=None,
+                     data=None, guard: bool = False,
+                     supervision=None,
                      deadline_seconds: "float | str | None" = None,
-                     max_retries: int = 2, tracer=None):
+                     tracer=None):
     """Run ``kernel`` for real on ``nthreads`` pool threads under
     supervision and set the run beside ``model``'s prediction.
+
+    ``build_executor`` builds the stack from ``guard`` and
+    ``supervision`` (a :class:`~repro.engine.SupervisionSpec`, default
+    ``SupervisionSpec()``), whose deadline a ``deadline_seconds`` other
+    than None replaces (``"auto"``:
+    :meth:`~repro.model.AnalyticModel.suggest_deadline`).
 
     Returns ``(result, measurement, supervision)``: ``result`` is
     ``model``'s :class:`~repro.machine.engine.RunResult` at
@@ -356,8 +363,7 @@ def measure_parallel(model, kernel, csr, nthreads: int, *,
     :class:`~repro.parallel.plane.ParallelMeasurement` runs (``None``
     when every repeat degraded to the serial fallback); ``supervision``
     the last repeat's :class:`~repro.engine.supervision.
-    SupervisionReport`, the ladder walked under ``deadline_seconds``
-    (``"auto"``: :meth:`~repro.model.AnalyticModel.suggest_deadline`).
+    SupervisionReport`, the ladder it walked.
 
     With a ``tracer``, one ``execute`` span records the prediction,
     the measured imbalance and Gflop/s and ``model_error_pct``. A model
@@ -378,19 +384,22 @@ def measure_parallel(model, kernel, csr, nthreads: int, *,
     if data is None:
         data = kernel.preprocess(csr)
     result = model.run(kernel, data, nthreads=nthreads)
+    supervision = supervision or SupervisionSpec()
     if deadline_seconds == "auto":
         deadline_seconds = model.suggest_deadline(kernel, data,
                                                   nthreads=nthreads)
+    if deadline_seconds is not None:
+        supervision = replace(supervision, deadline_seconds=deadline_seconds)
     sup = build_executor(
         csr,
         ExecutorSpec(
+            guard=guard,
             parallel=ParallelConfig(
                 nthreads=nthreads,
                 schedule=schedule or getattr(kernel, "schedule",
                                              "balanced-nnz"),
                 chunk_rows=chunk_rows),
-            supervision=SupervisionSpec(deadline_seconds=deadline_seconds,
-                                        max_retries=max_retries),
+            supervision=supervision,
         ),
         kernel=kernel,
     )

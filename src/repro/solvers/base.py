@@ -1,8 +1,8 @@
 """Common infrastructure for the iterative solvers (system S9).
 
-The solvers accept anything with a ``matvec(x) -> y`` method (all
-:mod:`repro.formats` matrices, :class:`repro.core.OptimizedSpMV`) or a
-bare callable, so the same CG/GMRES code runs on the baseline and on
+The solvers accept anything with a ``matvec(x) -> y`` method (the
+executed :mod:`repro.formats` matrices, CSR, BCSR and SELL-C-sigma;
+:class:`repro.core.OptimizedSpMV`; an engine stack) or a bare callable, so the same CG/GMRES code runs on the baseline and on
 optimizer-produced operators — which is how the examples demonstrate
 end-to-end solver acceleration.
 

@@ -1,6 +1,5 @@
 """Unit tests for the feature-guided classifier."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

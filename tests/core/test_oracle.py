@@ -1,7 +1,5 @@
 """Unit tests for the oracle optimizer."""
 
-import pytest
-
 from repro.core import AdaptiveSpMV, oracle_configurations, oracle_search
 from repro.machine import KNL
 

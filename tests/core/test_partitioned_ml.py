@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.machine import KNC
 from repro.matrices import named_matrix
-from repro.matrices.generators import banded, random_uniform, with_dense_rows
+from repro.matrices.generators import banded, random_uniform
 
 
 @pytest.fixture(scope="module")

@@ -58,6 +58,15 @@ def test_parallel_must_quack_like_a_config():
     with pytest.raises(TypeError, match="parallel"):
         ExecutorSpec(parallel=4)
 
+    class SignatureOnly:
+        """Signs like a config but has no width, schedule or chunks."""
+
+        def signature(self):
+            return "threads=2"
+
+    with pytest.raises(TypeError, match="ParallelConfig"):
+        ExecutorSpec(parallel=SignatureOnly())
+
 
 def test_supervision_spec_validation():
     with pytest.raises(ValueError, match="max_retries"):

@@ -14,6 +14,7 @@ from repro.errors import (
     ReproError,
     ValidationReport,
 )
+from repro.formats import COOMatrix, CSRMatrix, DecomposedCSR, DeltaCSR
 from repro.guard import (
     STRUCTURAL_FAULTS,
     VALUE_FAULTS,
@@ -72,28 +73,44 @@ def test_validation_error_is_typed(small_random_csr):
         bad.validate()
 
 
+def _csr_of(fmt):
+    """The CSR matrix a format without a numeric plane gives back."""
+    if isinstance(fmt, COOMatrix):
+        return CSRMatrix.from_coo(fmt)
+    return fmt.to_csr()
+
+
 def test_clone_format_is_independent(any_format):
     clone = clone_format(any_format)
     assert clone is not any_format
     assert type(clone) is type(any_format)
     assert clone.validate(strict=True).ok
-    x = np.arange(any_format.ncols, dtype=np.float64)
-    np.testing.assert_array_equal(clone.matvec(x), any_format.matvec(x))
+    if isinstance(any_format, (COOMatrix, DeltaCSR, DecomposedCSR)):
+        got, want = _csr_of(clone), _csr_of(any_format)
+        for name in ("rowptr", "colind", "values"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+    else:
+        x = np.arange(any_format.ncols, dtype=np.float64)
+        np.testing.assert_array_equal(clone.matvec(x),
+                                      any_format.matvec(x))
 
 
 @pytest.mark.parametrize("kind", ["index-out-of-bounds", "index-negative"])
 @pytest.mark.parametrize(
-    "any_format", ["delta-csr", "decomposed-csr", "sell-c-sigma"],
-    indirect=True,
+    "any_format", ["decomposed-csr", "sell-c-sigma"], indirect=True,
 )
 def test_compiled_views_check_indices(any_format, kind):
-    """The compiled CSR kernels do not bounds-check. Formats that reach
-    them through a derived CSR view (delta-CSR's decoded view, the
-    decomposed long part, SELL-C-sigma's row-major view) check the
-    view's indices when they build it, so a corrupted index raises."""
+    """The compiled CSR kernels do not bounds-check. A derived CSR view
+    (the decomposed long part the cost plane prices, SELL-C-sigma's
+    row-major view) checks its indices when it is built, so a
+    corrupted index raises."""
     bad = inject_structural_fault(any_format, kind)
     with pytest.raises(ValueError, match="out of bounds"):
-        bad.matvec(np.ones(any_format.ncols))
+        if isinstance(bad, DecomposedCSR):
+            bad.long_part()
+        else:
+            bad.matvec(np.ones(any_format.ncols))
 
 
 def test_unknown_fault_kind_rejected(small_random_csr):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats import COOMatrix, CSRMatrix
+from repro.formats import CSRMatrix
 
 
 def test_matvec_matches_scipy(small_random_csr, small_random_scipy, x300):

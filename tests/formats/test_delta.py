@@ -26,13 +26,6 @@ def test_forced_widths_roundtrip(scattered_csr):
         )
 
 
-def test_matvec_matches_csr(small_random_csr, x300):
-    d = DeltaCSR.from_csr(small_random_csr)
-    np.testing.assert_allclose(
-        d.matvec(x300), small_random_csr.matvec(x300), rtol=1e-12
-    )
-
-
 def test_width_choice_narrow_band(banded_csr):
     assert choose_delta_width(banded_csr) == 8
 

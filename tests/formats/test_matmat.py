@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 import repro.formats.bcsr as bcsrmod
-from repro.formats import BCSRMatrix, CSRMatrix, available_formats, convert
+from repro.formats import BCSRMatrix, CSRMatrix, SellCSigmaMatrix
 
 RHS = 7
 
-# Bound at import (collection) time: tests elsewhere register extra
-# throwaway formats that would otherwise leak into the runtime loops.
-FORMATS = available_formats()
+#: The formats a kernel executes, the only ones with a numeric plane.
+BUILDERS = {
+    "csr": lambda csr: csr,
+    "bcsr": BCSRMatrix.from_csr,
+    "sell-c-sigma": SellCSigmaMatrix.from_csr,
+}
+FORMATS = tuple(BUILDERS)
 
 
 @pytest.fixture
@@ -21,7 +25,7 @@ def X300(rng):
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_matches_scipy(small_random_csr, small_random_scipy, X300,
                               name):
-    fmt = convert(small_random_csr, name)
+    fmt = BUILDERS[name](small_random_csr)
     np.testing.assert_allclose(
         fmt.matmat(X300), small_random_scipy @ X300, rtol=1e-12, atol=1e-12
     )
@@ -29,7 +33,7 @@ def test_matmat_matches_scipy(small_random_csr, small_random_scipy, X300,
 
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_columns_match_matvec(small_random_csr, X300, name):
-    fmt = convert(small_random_csr, name)
+    fmt = BUILDERS[name](small_random_csr)
     Y = fmt.matmat(X300)
     for j in range(RHS):
         np.testing.assert_allclose(
@@ -39,7 +43,7 @@ def test_matmat_columns_match_matvec(small_random_csr, X300, name):
 
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_handles_empty_rows(empty_row_csr, name):
-    fmt = convert(empty_row_csr, name)
+    fmt = BUILDERS[name](empty_row_csr)
     X = np.ones((6, 3))
     Y = fmt.matmat(X)
     assert Y.shape == (6, 3)
@@ -50,7 +54,7 @@ def test_matmat_handles_empty_rows(empty_row_csr, name):
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_empty_matrix(name):
     csr = CSRMatrix([0, 0, 0], [], [], (2, 4))
-    fmt = convert(csr, name)
+    fmt = BUILDERS[name](csr)
     Y = fmt.matmat(np.ones((4, 3)))
     np.testing.assert_array_equal(Y, np.zeros((2, 3)))
 
@@ -58,14 +62,14 @@ def test_matmat_empty_matrix(name):
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_single_row(name):
     csr = CSRMatrix([0, 2], [1, 3], [2.0, -1.0], (1, 5))
-    fmt = convert(csr, name)
+    fmt = BUILDERS[name](csr)
     X = np.arange(10.0).reshape(5, 2)
     np.testing.assert_allclose(fmt.matmat(X), csr.to_dense() @ X)
 
 
 @pytest.mark.parametrize("name", FORMATS)
 def test_matmat_zero_rhs(small_random_csr, name):
-    fmt = convert(small_random_csr, name)
+    fmt = BUILDERS[name](small_random_csr)
     Y = fmt.matmat(np.zeros((300, 0)))
     assert Y.shape == (300, 0)
 
@@ -77,7 +81,7 @@ def test_matmat_tiled_path(small_random_csr, small_random_scipy, X300,
     paths)."""
     monkeypatch.setattr(bcsrmod, "_TILE_ELEMS", 8)
     for name in FORMATS:
-        fmt = convert(small_random_csr, name)
+        fmt = BUILDERS[name](small_random_csr)
         np.testing.assert_allclose(
             fmt.matmat(X300), small_random_scipy @ X300,
             rtol=1e-12, atol=1e-12,

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.kernels import baseline_kernel, single_optimization_kernels
 from repro.machine import BROADWELL, KNC, KNL
-from repro.matrices import load_suite, named_matrix
+from repro.matrices import load_suite
 from repro.model import AnalyticModel
 
 # Full-scale analogues: the bottleneck regimes (cache residency, x

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.kernels import (
-    POOL_CONFIGS,
     merged_pool_kernel,
     pairwise_optimization_kernels,
     pool_kernel,

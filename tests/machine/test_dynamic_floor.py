@@ -6,7 +6,6 @@ which is exactly why the pool needs matrix decomposition for huge-row
 matrices instead of relying on dynamic scheduling.
 """
 
-import numpy as np
 import pytest
 
 from repro.kernels import ConfiguredSpMV, SpMVConfig, baseline_kernel

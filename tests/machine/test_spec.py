@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import KNC, KNL, BROADWELL, MachineSpec
+from repro.machine import KNC, KNL, BROADWELL
 
 
 def test_derived_quantities():

@@ -197,13 +197,15 @@ def test_measure_parallel_returns_supervision(small_random_csr):
 
 def test_measure_parallel_honors_deadline_and_retry_options(
         small_random_csr):
+    from repro.engine import SupervisionSpec
     from repro.kernels import baseline_kernel
     from repro.machine import KNL
     from repro.model import AnalyticModel, measure_parallel
 
     _, measurement, supervision = measure_parallel(
         AnalyticModel(KNL), baseline_kernel(), small_random_csr,
-        nthreads=2, repeats=1, deadline_seconds=60.0, max_retries=1,
+        nthreads=2, repeats=1, deadline_seconds=60.0,
+        supervision=SupervisionSpec(max_retries=1),
     )
     assert measurement is not None
     assert supervision.deadline_seconds == 60.0

@@ -3,7 +3,8 @@ and ``out=`` contract tests.
 
 Three layers of guarantees:
 
-* every format's ``matvec``/``rmatvec``/``matmat`` accepts a
+* every executed format's (CSR, SELL-C-sigma, BCSR)
+  ``matvec``/``matmat``, and CSR's ``rmatvec``, accepts a
   caller-owned ``out=`` buffer, returns it, produces bit-identical
   results to the allocating path, and rejects aliasing/shape/dtype
   violations;
@@ -24,9 +25,6 @@ from repro.core import AdaptiveSpMV
 from repro.experiments.bench_batched import measure_steady_allocs
 from repro.formats import CSRMatrix
 from repro.formats.bcsr import BCSRMatrix
-from repro.formats.coo import COOMatrix
-from repro.formats.decomposed import DecomposedCSR
-from repro.formats.delta import DeltaCSR
 from repro.formats.sellcs import SellCSigmaMatrix
 from repro.kernels import baseline_kernel, merged_pool_kernel
 from repro.kernels.bcsr import BCSRSpMV
@@ -45,17 +43,13 @@ def _csr() -> CSRMatrix:
 
 
 def _formats():
+    """The formats a kernel executes, the only ones with a numeric
+    plane."""
     csr = _csr()
-    coo = COOMatrix(
-        csr.row_ids_per_nnz(), csr.colind, csr.values, csr.shape
-    )
     return [
         ("csr", csr),
-        ("delta", DeltaCSR.from_csr(csr)),
         ("sellcs", SellCSigmaMatrix.from_csr(csr, chunk=4)),
-        ("decomposed", DecomposedCSR.from_csr(csr, threshold=12)),
         ("bcsr", BCSRMatrix.from_csr(csr, block=2)),
-        ("coo", coo),
     ]
 
 
@@ -100,16 +94,12 @@ def test_format_matmat_out_bit_identical(name, mat):
         assert np.array_equal(ref, mat.matmat(X, out=out, workspace=ws))
 
 
-def test_csr_rmatvec_and_compensated_out_bit_identical():
+def test_csr_rmatvec_out_bit_identical():
     csr = _csr()
     x = RNG.standard_normal(csr.nrows)
     ref = csr.rmatvec(x)
     out = np.full(csr.ncols, np.nan)
     assert np.array_equal(ref, csr.rmatvec(x, out=out))
-    xc = RNG.standard_normal(csr.ncols)
-    refc = csr.matvec_compensated(xc)
-    outc = np.full(csr.nrows, np.nan)
-    assert np.array_equal(refc, csr.matvec_compensated(xc, out=outc))
 
 
 @pytest.mark.parametrize("name,mat", _formats())

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CACHE_SCHEMA_VERSION,
     AdaptiveSpMV,
     PlanCache,
     plan_cache_load_recoveries,

@@ -1,6 +1,7 @@
 """Property-based tests on the sparse-format invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from repro.formats import (
     DeltaCSR,
     SellCSigmaMatrix,
 )
-from repro.matrices.generators import power_law
+from repro.matrices.generators import banded, power_law
 
 
 @st.composite
@@ -48,13 +49,19 @@ def vectors_for(draw, csr):
     return np.array(vals)
 
 
-@given(sparse_matrices())
-@settings(max_examples=60, deadline=None)
-def test_coo_csr_roundtrip(csr):
-    back = CSRMatrix.from_coo(csr.to_coo())
+def _assert_same_csr(back, csr):
+    """``back`` holds exactly ``csr``: equal shape and bitwise equal
+    ``rowptr``, ``colind`` and ``values``."""
+    assert back.shape == csr.shape
     np.testing.assert_array_equal(back.rowptr, csr.rowptr)
     np.testing.assert_array_equal(back.colind, csr.colind)
     np.testing.assert_array_equal(back.values, csr.values)
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_coo_csr_roundtrip(csr):
+    _assert_same_csr(CSRMatrix.from_coo(csr.to_coo()), csr)
 
 
 @given(sparse_matrices(), st.integers(0, 2**31 - 1))
@@ -71,7 +78,7 @@ def test_matvec_matches_dense(csr, seed):
 def test_delta_roundtrip_any_width(csr, width):
     d = DeltaCSR.from_csr(csr, width=width)
     np.testing.assert_array_equal(d.decode_colind(), csr.colind)
-    np.testing.assert_array_equal(d.to_csr().rowptr, csr.rowptr)
+    _assert_same_csr(d.to_csr(), csr)
 
 
 @given(sparse_matrices(), st.integers(1, 50))
@@ -87,13 +94,41 @@ def test_decomposition_partitions_nnz(csr, threshold):
     assert np.all(d.short.row_nnz()[expected_long] == 0)
 
 
-@given(sparse_matrices(), st.integers(1, 50), st.integers(0, 2**31 - 1))
+@given(sparse_matrices(), st.one_of(st.none(), st.integers(1, 50)))
 @settings(max_examples=60, deadline=None)
-def test_decomposed_matvec_equals_csr(csr, threshold, seed):
+def test_decomposed_roundtrip_any_threshold(csr, threshold):
     d = DecomposedCSR.from_csr(csr, threshold=threshold)
-    x = np.random.default_rng(seed).uniform(-1, 1, size=csr.ncols)
-    np.testing.assert_allclose(d.matvec(x), csr.matvec(x), rtol=1e-9,
-                               atol=1e-9)
+    _assert_same_csr(d.to_csr(), csr)
+
+
+def _edge_matrices():
+    """Shapes the random corpus may miss: an empty matrix, a matrix
+    whose rows are all empty but one, one with no long rows at the
+    default threshold, and power-law rows with long rows to split."""
+    return {
+        "empty": CSRMatrix([0, 0, 0, 0], [], [], (3, 4)),
+        "empty-rows": CSRMatrix([0, 0, 3, 3, 3], [0, 2, 5],
+                                [1.0, -2.0, 3.0], (4, 6)),
+        "no-long-rows": banded(500, nnz_per_row=5, bandwidth=9, seed=2),
+        "long-rows": power_law(3000, avg_deg=12, seed=3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_matrices()))
+def test_roundtrips_of_edge_shapes(name):
+    """COO, delta-CSR at either width and the decomposed format at the
+    default and the smallest threshold give back the matrix bitwise."""
+    csr = _edge_matrices()[name]
+    _assert_same_csr(CSRMatrix.from_coo(csr.to_coo()), csr)
+    for width in (8, 16, None):
+        _assert_same_csr(DeltaCSR.from_csr(csr, width=width).to_csr(), csr)
+    for threshold in (None, 1):
+        d = DecomposedCSR.from_csr(csr, threshold=threshold)
+        _assert_same_csr(d.to_csr(), csr)
+    if name == "no-long-rows":
+        assert DecomposedCSR.from_csr(csr).n_long_rows == 0
+    if name == "long-rows":
+        assert DecomposedCSR.from_csr(csr).n_long_rows > 0
 
 
 @given(sparse_matrices())
@@ -118,25 +153,23 @@ def test_row_structure_invariants(csr):
     assert np.all(gaps >= 0)  # canonical order -> nonnegative in-row gaps
 
 
-def _csr_family(csr, threshold):
-    """Every CSR-family format of ``csr`` (the compiled-kernel plane)."""
+def _csr_family(csr):
+    """Every executed format of ``csr`` that runs the compiled CSR
+    kernel."""
     return {
         "csr": csr,
-        "delta-csr": DeltaCSR.from_csr(csr),
-        "decomposed-csr": DecomposedCSR.from_csr(csr, threshold=threshold),
         "sell-c-sigma": SellCSigmaMatrix.from_csr(csr, chunk=4, sigma=8),
-        "coo": csr.to_coo(),
     }
 
 
-def _assert_equals_scipy_bitwise(csr, threshold, seed):
+def _assert_equals_scipy_bitwise(csr, seed):
     S = csr.to_scipy()
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=csr.ncols)
     blocks = [rng.uniform(-1, 1, size=(csr.ncols, k)) for k in (1, 3, 16)]
     ref = S @ x
     refs = [S @ X for X in blocks]
-    for name, fmt in _csr_family(csr, threshold).items():
+    for name, fmt in _csr_family(csr).items():
         assert np.array_equal(fmt.matvec(x), ref), name
         out = np.full(csr.nrows, np.nan)
         assert fmt.matvec(x, out=out) is out
@@ -148,17 +181,17 @@ def _assert_equals_scipy_bitwise(csr, threshold, seed):
             assert np.array_equal(out, refX), (name, X.shape)
 
 
-@given(sparse_matrices(), st.integers(1, 50), st.integers(0, 2**31 - 1))
+@given(sparse_matrices(), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_csr_family_equals_scipy_bitwise(csr, threshold, seed):
-    """Every CSR-family format runs scipy's compiled kernel, so matvec
-    and matmat equal ``S @ x`` / ``S @ X`` exactly, not just closely."""
-    _assert_equals_scipy_bitwise(csr, threshold, seed)
+def test_csr_family_equals_scipy_bitwise(csr, seed):
+    """CSR and SELL-C-sigma run scipy's compiled kernel, so matvec and
+    matmat equal ``S @ x`` / ``S @ X`` exactly, not just closely."""
+    _assert_equals_scipy_bitwise(csr, seed)
 
 
 def test_csr_family_equals_scipy_bitwise_long_rows():
-    """The same on power-law rows: long rows (hundreds of entries) and
-    a decomposition that actually splits some off."""
+    """The same on power-law rows: long rows (hundreds of entries),
+    ones the decomposition would split off."""
     csr = power_law(3000, avg_deg=12, seed=3)
     assert DecomposedCSR.from_csr(csr).n_long_rows > 0
-    _assert_equals_scipy_bitwise(csr, None, seed=7)
+    _assert_equals_scipy_bitwise(csr, seed=7)

@@ -64,6 +64,101 @@ def test_parallel_command_rejects_bad_threads(capsys):
     assert "bad thread list" in capsys.readouterr().err
 
 
+#: A one-width, one-repeat ``parallel`` sweep on a small matrix.
+_SWEEP = ["parallel", "consph", "--platform", "knl", "--scale", "0.05",
+          "--threads", "2", "--repeats", "1"]
+
+
+@pytest.fixture
+def built_stacks(monkeypatch):
+    """Every ``(spec, kernel, stack)`` that ``build_executor`` builds,
+    recorded while the real one builds it."""
+    import repro.engine
+
+    real = repro.engine.build_executor
+    built = []
+
+    def record(csr, spec=None, **kwargs):
+        stack = real(csr, spec, **kwargs)
+        built.append((spec, kwargs.get("kernel"), stack))
+        return stack
+
+    monkeypatch.setattr(repro.engine, "build_executor", record)
+    return built
+
+
+def test_parallel_spec_supervision_tokens_reach_the_stack(built_stacks):
+    assert main(_SWEEP + [
+        "--schedule", "balanced-nnz", "--engine-spec",
+        "retries=1,backoff-ms=50,no-serial-fallback,deadline-ms=60000",
+    ]) == 0
+    ((spec, _, stack),) = built_stacks
+    from repro.engine import SupervisionSpec
+
+    assert spec.supervision == SupervisionSpec(
+        deadline_seconds=60.0, max_retries=1, backoff_seconds=0.05,
+        serial_fallback=False,
+    )
+    assert (stack.deadline_seconds, stack.max_retries,
+            stack.backoff_seconds, stack.serial_fallback) == (
+        60.0, 1, 0.05, False)
+
+
+def test_parallel_spec_guard_is_applied_by_build_executor(built_stacks,
+                                                          capsys):
+    from repro.engine import GuardedKernel
+
+    assert main(_SWEEP + ["--schedule", "balanced-nnz",
+                          "--engine-spec", "guard"]) == 0
+    ((spec, kernel, stack),) = built_stacks
+    assert spec.guard
+    assert not isinstance(kernel, GuardedKernel)
+    assert isinstance(stack.inner, GuardedKernel)
+
+
+#: Spec tokens the sweep refuses, and what its message says to use.
+_REFUSED = {
+    "threads=4": "--threads",
+    "schedule=dynamic": "--schedule",
+    "workspace=shared": "repro-spmv run --engine-spec",
+    "trace": "repro-spmv run --engine-spec",
+}
+
+
+@pytest.mark.parametrize("token", sorted(_REFUSED))
+def test_parallel_rejects_spec_tokens_the_sweep_sets(token, capsys):
+    assert main(_SWEEP + ["--engine-spec", f"guard,{token}"]) == 2
+    err = capsys.readouterr().err
+    assert repr(token) in err and _REFUSED[token] in err
+
+
+def test_parallel_spec_chunk_rows_passes_through(built_stacks, capsys):
+    assert main(_SWEEP + ["--schedule", "dynamic",
+                          "--engine-spec", "chunk-rows=7"]) == 0
+    ((spec, _, stack),) = built_stacks
+    assert spec.parallel.chunk_rows == 7
+    assert stack.chunk_rows == 7
+
+
+def test_parallel_spec_chunk_rows_needs_a_chunked_schedule(capsys):
+    assert main(_SWEEP + ["--engine-spec", "chunk-rows=7"]) == 2
+    assert "--schedule" in capsys.readouterr().err
+
+
+def test_parallel_explicit_flags_override_spec_supervision(built_stacks,
+                                                           capsys):
+    # The explicit values equal the defaults, which must still win.
+    assert main(_SWEEP + [
+        "--schedule", "balanced-nnz", "--engine-spec",
+        "retries=0,deadline-ms=5", "--max-retries", "2",
+        "--deadline-ms", "60000",
+    ]) == 0
+    ((spec, _, stack),) = built_stacks
+    assert spec.supervision.max_retries == 2
+    assert spec.supervision.deadline_seconds == 60.0
+    assert (stack.max_retries, stack.deadline_seconds) == (2, 60.0)
+
+
 def test_run_guarded_supervised_stack(capsys):
     # The exit status is the run's bit-identity check against serial CSR.
     assert main(["run", "smallfem", "--engine-spec",
